@@ -17,6 +17,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <vector>
 
 #include "boundary/accumulator.h"
 #include "campaign/inference.h"
@@ -67,22 +68,25 @@ int main(int argc, char** argv) {
 
     // Low-memory pipeline over the same experiment ids (two passes).
     const auto lowmem_start = Clock::now();
-    boundary::BoundaryAccumulator accumulator(
-        golden.trace.size(), {options.filter, options.prop_buffer_cap});
+    // Same two phases as campaign::accumulate_records: every injection
+    // first, then the masked replays.
+    boundary::BoundaryAccumulator accumulator(golden.trace.size(),
+                                              {options.filter});
+    std::vector<campaign::ExperimentId> masked;
     for (const campaign::ExperimentId id : standard.sampled_ids) {
-      const fi::Injection injection = campaign::injection_of(id);
-      const fi::ExperimentResult outcome =
-          fi::run_injected_lowmem(*kernel.program, compressed, injection);
+      const fi::ExperimentResult outcome = fi::run_injected_lowmem(
+          *kernel.program, compressed, campaign::injection_of(id));
       accumulator.record_injection(campaign::site_of(id),
                                    campaign::bit_of(id), outcome.outcome,
                                    outcome.injected_error);
-      if (outcome.outcome == fi::Outcome::kMasked) {
-        (void)fi::run_injected_compare_lowmem(
-            *kernel.program, compressed, injection,
-            [&](std::uint64_t site, double error) {
-              accumulator.record_masked_value(site, error);
-            });
-      }
+      if (outcome.outcome == fi::Outcome::kMasked) masked.push_back(id);
+    }
+    for (const campaign::ExperimentId id : masked) {
+      (void)fi::run_injected_compare_lowmem(
+          *kernel.program, compressed, campaign::injection_of(id),
+          [&](std::uint64_t site, double error) {
+            accumulator.record_masked_value(site, error);
+          });
     }
     const boundary::FaultToleranceBoundary lowmem_boundary =
         accumulator.finalize();

@@ -48,8 +48,7 @@ VariantOutcome run_variant(const fi::Program& program,
   const std::uint64_t space = golden.sample_space_size();
   const std::uint64_t round_size = std::max<std::uint64_t>(32, space / 1000);
 
-  boundary::BoundaryAccumulator accumulator(golden.trace.size(),
-                                            {true, 32});
+  boundary::BoundaryAccumulator accumulator(golden.trace.size(), {true});
   std::vector<double> information(golden.trace.size(), 0.0);
   std::vector<campaign::ExperimentId> candidates(space);
   for (std::uint64_t id = 0; id < space; ++id) candidates[id] = id;

@@ -31,12 +31,32 @@ std::vector<double> random_diffs(std::uint64_t seed) {
   return diffs;
 }
 
+// SDC evidence at every third site, with minima inside the diff range so
+// the filter rejects part of each vector.  Rebuilds record injections
+// before propagation, so the benchmarks do too.
+void record_sdc_evidence(boundary::BoundaryAccumulator& accumulator) {
+  util::Rng rng(13);
+  for (std::size_t site = 0; site < kSites; site += 3) {
+    accumulator.record_injection(site, static_cast<int>(site % 64),
+                                 fi::Outcome::kSdc,
+                                 rng.next_double(0.0, 1e-3));
+  }
+}
+
 void BM_AccumulateMaskedPropagation(benchmark::State& state) {
   const bool filter = state.range(0) != 0;
-  const std::vector<double> diffs = random_diffs(1);
-  boundary::BoundaryAccumulator accumulator(kSites, {filter, 32});
+  // Cycle through distinct seeded vectors: one vector fed every iteration
+  // stops updating the running maxima after the first pass.
+  constexpr std::size_t kVectors = 16;
+  std::vector<std::vector<double>> diffs;
+  for (std::size_t i = 0; i < kVectors; ++i) diffs.push_back(random_diffs(i));
+  boundary::BoundaryAccumulator accumulator(kSites, {filter});
+  record_sdc_evidence(accumulator);
+  std::size_t next = 0;
   for (auto _ : state) {
-    accumulator.record_masked_propagation(diffs);
+    accumulator.record_masked_propagation(diffs[next]);
+    benchmark::ClobberMemory();
+    next = (next + 1) % kVectors;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kSites);
@@ -44,14 +64,10 @@ void BM_AccumulateMaskedPropagation(benchmark::State& state) {
 BENCHMARK(BM_AccumulateMaskedPropagation)->Arg(0)->Arg(1);
 
 void BM_FinalizeBoundary(benchmark::State& state) {
-  boundary::BoundaryAccumulator accumulator(kSites, {true, 32});
-  util::Rng rng(3);
+  boundary::BoundaryAccumulator accumulator(kSites, {true});
+  record_sdc_evidence(accumulator);
   for (int batch = 0; batch < 16; ++batch) {
     accumulator.record_masked_propagation(random_diffs(batch));
-  }
-  for (std::size_t site = 0; site < kSites; site += 3) {
-    accumulator.record_injection(site, static_cast<int>(site % 64),
-                                 fi::Outcome::kSdc, rng.next_double());
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(accumulator.finalize());

@@ -118,7 +118,7 @@ CgFixture& fixture() {
 void run_campaign(telemetry::Telemetry* sink) {
   CgFixture& f = fixture();
   static util::ThreadPool pool(2);
-  boundary::BoundaryAccumulator accumulator(f.golden.trace.size(), {true, 32});
+  boundary::BoundaryAccumulator accumulator(f.golden.trace.size(), {true});
   std::vector<double> information(f.golden.trace.size(), 0.0);
   benchmark::DoNotOptimize(campaign::run_and_accumulate(
       *f.program, f.golden, f.ids, pool, accumulator, information, 1e-8,

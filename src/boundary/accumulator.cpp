@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "fi/fpbits.h"
 
@@ -11,9 +12,11 @@ namespace ftb::boundary {
 
 BoundaryAccumulator::BoundaryAccumulator(std::size_t sites,
                                          AccumulatorOptions options)
-    : site_count_(sites), options_(options), states_(sites) {
-  assert(options_.prop_buffer_cap > 0);
-}
+    : site_count_(sites),
+      options_(options),
+      states_(sites),
+      min_sdc_(sites, kNoSdc),
+      prop_(sites, 0.0) {}
 
 void BoundaryAccumulator::record_injection(std::size_t site, int bit,
                                            fi::Outcome outcome,
@@ -28,7 +31,7 @@ void BoundaryAccumulator::record_injection(std::size_t site, int bit,
       if (!std::isfinite(injected_error)) {
         // An exponent flip can push |x' - x| to +inf even when the run ends
         // masked.  Folding that into masked_inj_max makes the unfiltered
-        // threshold max(prop_max, inf) = inf -- the site then predicts
+        // threshold max(prop, inf) = inf -- the site then predicts
         // *every* fault masked.  Skip the magnitude (the bit still counts
         // as tested) and tally it like record_masked_value does.
         ++nonfinite_skipped_;
@@ -41,22 +44,21 @@ void BoundaryAccumulator::record_injection(std::size_t site, int bit,
       ++state.sdc;
       if (!std::isfinite(injected_error)) {
         // An infinite (or NaN) injected error that still flips the output
-        // carries no usable magnitude: it cannot tighten min_sdc_inj (the
+        // carries no usable magnitude: it cannot tighten the SDC minimum (the
         // old code's `inf < inf` was silently false; NaN compares false on
         // everything).  Count it so reports surface the loss.
         ++nonfinite_skipped_;
         break;
       }
-      if (injected_error < state.min_sdc_inj) {
-        state.min_sdc_inj = injected_error;
-        // New SDC evidence can invalidate previously accepted propagation
-        // values; prune everything no longer strictly below the minimum.
-        if (options_.filter && !state.prop_buffer.empty()) {
-          while (!state.prop_buffer.empty() &&
-                 state.prop_buffer.back() >= state.min_sdc_inj) {
-            state.prop_buffer.pop_back();
-            ++filter_rejected_;
-          }
+      if (injected_error < min_sdc_[site]) {
+        min_sdc_[site] = injected_error;
+        // SDC evidence after propagation evidence: a scalar no longer
+        // strictly below the minimum is invalid, and the smaller values it
+        // stood for are gone -- drop to 0, which is conservative.
+        if (options_.filter && prop_[site] > 0.0 &&
+            prop_[site] >= injected_error) {
+          prop_[site] = 0.0;
+          ++prop_evicted_;
         }
       }
       break;
@@ -74,45 +76,59 @@ void BoundaryAccumulator::record_injection(std::size_t site, int bit,
   }
 }
 
-void BoundaryAccumulator::insert_filtered(SiteState& state, double value) {
-  if (value >= state.min_sdc_inj) {  // Section 3.5 rejection
-    ++filter_rejected_;
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// One Algorithm 1 update.  |x' - x| can overflow to +inf even when both
+// trace values are finite (1.7e308 - (-1.7e308), say), and a NaN diff
+// survives no comparison meaningfully; either would poison the site's
+// pointwise max forever.  Skip it, but keep count -- a nonzero tally in the
+// report tells the user their masked runs carry overflowing intermediate
+// corruption.  Non-positive values carry no evidence.
+template <bool kFilter>
+inline void accumulate_value(double value, double& prop, double min_sdc,
+                             std::uint64_t& nonfinite_skipped,
+                             std::uint64_t& filter_rejected) {
+  if (!(value > 0.0 && value < kInf)) {
+    if (!std::isfinite(value)) ++nonfinite_skipped;
     return;
   }
-  auto pos = std::lower_bound(state.prop_buffer.begin(),
-                              state.prop_buffer.end(), value);
-  state.prop_buffer.insert(pos, value);
-  if (state.prop_buffer.size() > options_.prop_buffer_cap) {
-    state.prop_buffer.erase(state.prop_buffer.begin());  // drop the smallest
-    ++prop_evicted_;
+  if (kFilter && value >= min_sdc) {  // Section 3.5 rejection
+    ++filter_rejected;
+    return;
   }
+  if (value > prop) prop = value;
 }
+
+}  // namespace
 
 void BoundaryAccumulator::record_masked_propagation(
     std::span<const double> diffs) {
   assert(diffs.size() == site_count_);
-  for (std::size_t j = 0; j < diffs.size(); ++j) {
-    record_masked_value(j, diffs[j]);
+  double* prop = prop_.data();
+  const double* min_sdc = min_sdc_.data();
+  if (options_.filter) {
+    for (std::size_t j = 0; j < diffs.size(); ++j) {
+      accumulate_value<true>(diffs[j], prop[j], min_sdc[j],
+                             nonfinite_skipped_, filter_rejected_);
+    }
+  } else {
+    for (std::size_t j = 0; j < diffs.size(); ++j) {
+      accumulate_value<false>(diffs[j], prop[j], kNoSdc, nonfinite_skipped_,
+                              filter_rejected_);
+    }
   }
 }
 
 void BoundaryAccumulator::record_masked_value(std::size_t site, double value) {
   assert(site < site_count_);
-  if (!std::isfinite(value)) {
-    // |x' - x| can overflow to +inf even when both trace values are finite
-    // (1.7e308 - (-1.7e308), say), and a NaN diff survives no comparison
-    // meaningfully; either would poison the site's pointwise max forever.
-    // Skip it, but keep count -- a nonzero tally in the report tells the
-    // user their masked runs carry overflowing intermediate corruption.
-    ++nonfinite_skipped_;
-    return;
-  }
-  if (value <= 0.0) return;
-  SiteState& state = states_[site];
   if (options_.filter) {
-    insert_filtered(state, value);
-  } else if (value > state.prop_max) {
-    state.prop_max = value;
+    accumulate_value<true>(value, prop_[site], min_sdc_[site],
+                           nonfinite_skipped_, filter_rejected_);
+  } else {
+    accumulate_value<false>(value, prop_[site], kNoSdc, nonfinite_skipped_,
+                            filter_rejected_);
   }
 }
 
@@ -154,7 +170,7 @@ FaultToleranceBoundary BoundaryAccumulator::finalize() const {
       // smallest SDC injected error.
       double best = 0.0;
       for (double e : state.masked_inj) {
-        if (e < state.min_sdc_inj && e > best) best = e;
+        if (e < min_sdc_[i] && e > best) best = e;
       }
       thresholds[i] = best;
       exact[i] = 1;
@@ -162,13 +178,13 @@ FaultToleranceBoundary BoundaryAccumulator::finalize() const {
     }
 
     if (options_.filter) {
-      double best = state.prop_buffer.empty() ? 0.0 : state.prop_buffer.back();
+      double best = prop_[i];
       for (double e : state.masked_inj) {
-        if (e < state.min_sdc_inj && e > best) best = e;
+        if (e < min_sdc_[i] && e > best) best = e;
       }
       thresholds[i] = best;
     } else {
-      thresholds[i] = std::max(state.prop_max, state.masked_inj_max);
+      thresholds[i] = std::max(prop_[i], state.masked_inj_max);
     }
   }
   return FaultToleranceBoundary(std::move(thresholds), std::move(exact));

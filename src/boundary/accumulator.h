@@ -14,15 +14,19 @@
 //     (largest masked injected error strictly below the smallest SDC
 //     injected error) instead of from inference.
 //
-// Memory: the unfiltered path is a pure streaming max (O(1) per site).  The
-// filtered path keeps a small bounded buffer of the largest surviving
-// propagation values per site (default 32) because SDC evidence arriving
-// later can invalidate previously accepted values.  Eviction can only make
-// thresholds smaller, i.e. the filter stays conservative: precision is
-// never hurt, recall can drop marginally.  Values rejected at insert time
-// (> the then-current SDC minimum) would also be rejected at finalize time
-// because the minimum only decreases, so insert-time filtering loses
-// nothing.
+// Memory: O(1) per site in both modes.  The unfiltered path is a streaming
+// max.  The filtered path keeps one scalar per site: the largest propagation
+// value strictly below the site's current SDC minimum.  That is exact under
+// the contract that a batch's injections are recorded before its
+// propagation (campaign::accumulate_records does this on every path), since
+// the SDC minima are then fixed while the scalar grows.  Values rejected at
+// insert time (>= the then-current SDC minimum) would also be rejected at
+// finalize time because the minimum only decreases, so insert-time
+// filtering loses nothing.  When SDC evidence does arrive later and lands at
+// or below a site's scalar (only the adaptive sampler's later rounds do
+// this), the values below the new minimum are no longer known, so the
+// scalar drops to 0: thresholds only shrink, i.e. the filter stays
+// conservative.  prop_evicted() counts those drops.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +40,10 @@
 namespace ftb::boundary {
 
 struct AccumulatorOptions {
-  bool filter = false;           // Section 3.5 filter operation
-  std::size_t prop_buffer_cap = 32;  // per-site buffer in filtered mode
+  bool filter = false;  // Section 3.5 filter operation
+  /// Ignored.  Kept so existing `{filter, cap}` aggregate initialisers
+  /// still compile.
+  std::size_t retired_buffer_cap = 0;
 };
 
 class BoundaryAccumulator {
@@ -56,7 +62,8 @@ class BoundaryAccumulator {
   /// Records the propagation data of one *masked* experiment: diffs[j] is
   /// the absolute error observed at site j (0 where untouched).  Only call
   /// for experiments whose final outcome was Masked -- that is precisely
-  /// Algorithm 1's guard.
+  /// Algorithm 1's guard.  In filtered mode, record the batch's injections
+  /// first (see the header comment).
   void record_masked_propagation(std::span<const double> diffs);
 
   /// Streaming single-value form of the above for the low-memory pipeline
@@ -102,13 +109,13 @@ class BoundaryAccumulator {
     return nonfinite_skipped_;
   }
 
-  /// Filtered mode: propagation values rejected by the Section 3.5 filter,
-  /// either at insert time (value >= the site's current SDC minimum) or
-  /// pruned later when new SDC evidence lowered that minimum.
+  /// Filtered mode: propagation values rejected by the Section 3.5 filter
+  /// at insert time (value >= the site's current SDC minimum).
   std::uint64_t filter_rejected() const noexcept { return filter_rejected_; }
 
-  /// Filtered mode: values evicted from a full per-site buffer (the
-  /// smallest is dropped once prop_buffer_cap is exceeded).
+  /// Filtered mode: propagation evidence dropped because SDC evidence
+  /// arrived after it (a new SDC minimum at or below a site's scalar).
+  /// Always 0 when injections are recorded before propagation.
   std::uint64_t prop_evicted() const noexcept { return prop_evicted_; }
 
   /// Builds the boundary from everything recorded so far.  Can be called
@@ -122,13 +129,9 @@ class BoundaryAccumulator {
     // Direct-injection evidence.
     std::uint64_t tested_mask = 0;       // bits already flipped at this site
     double masked_inj_max = 0.0;         // largest masked injected error
-    double min_sdc_inj = kNoSdc;         // smallest SDC injected error
-    // Largest masked injected error strictly below min_sdc_inj needs the
-    // full set; 64 experiments max, so a compact sorted vector is exact.
+    // Largest masked injected error strictly below the SDC minimum needs
+    // the full set; 64 experiments max, so a compact vector is exact.
     std::vector<double> masked_inj;      // all masked injected errors
-    // Propagation evidence (Algorithm 1).
-    double prop_max = 0.0;               // unfiltered running max
-    std::vector<double> prop_buffer;     // filtered mode: top values kept
     // Detector evidence (fi/detector.h): coverage = detected/(detected+sdc).
     std::uint32_t detected = 0;          // injections classified kDetected
     std::uint32_t sdc = 0;               // injections classified kSdc
@@ -137,11 +140,13 @@ class BoundaryAccumulator {
   // +inf: no SDC evidence seen yet at a site.
   static constexpr double kNoSdc = std::numeric_limits<double>::infinity();
 
-  void insert_filtered(SiteState& state, double value);
-
   std::size_t site_count_;
   AccumulatorOptions options_;
   std::vector<SiteState> states_;
+  // The per-site values record_masked_propagation walks, kept dense and
+  // apart from SiteState so the walk touches two flat arrays.
+  std::vector<double> min_sdc_;  // smallest SDC injected error
+  std::vector<double> prop_;     // Algorithm 1 max (below min_sdc_ if filtered)
   std::uint64_t nonfinite_skipped_ = 0;
   std::uint64_t filter_rejected_ = 0;
   std::uint64_t prop_evicted_ = 0;

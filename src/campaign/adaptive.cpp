@@ -35,8 +35,8 @@ AdaptiveResult infer_adaptive(const fi::Program& program,
   result.space = space;
   result.information.assign(golden.trace.size(), 0.0);
 
-  boundary::BoundaryAccumulator accumulator(
-      golden.trace.size(), {options.filter, options.prop_buffer_cap});
+  boundary::BoundaryAccumulator accumulator(golden.trace.size(),
+                                            {options.filter});
 
   // The candidate pool: everything not yet tested and not yet predicted
   // masked by the evolving boundary.

@@ -28,7 +28,6 @@ struct AdaptiveOptions {
   std::size_t max_rounds = 10000;     // hard safety bound only
   std::uint64_t seed = 1;
   bool filter = true;                 // Section 3.5 filter stays on here
-  std::size_t prop_buffer_cap = 32;
   double significance_rel_error = 1e-8;
   /// Route each round's experiments through a persistent CampaignSupervisor
   /// (campaign/supervisor.h) so hazard programs cannot take down the

@@ -100,8 +100,8 @@ EquivalenceInferenceResult infer_with_equivalence(
 
   // Run the pilot experiments through the standard accumulation pipeline
   // (pilot propagation data spreads thresholds like any masked run).
-  boundary::BoundaryAccumulator accumulator(
-      golden.trace.size(), {options.filter, options.prop_buffer_cap});
+  boundary::BoundaryAccumulator accumulator(golden.trace.size(),
+                                            {options.filter});
   std::vector<double> information(golden.trace.size(), 0.0);
   const std::vector<ExperimentRecord> records = run_and_accumulate(
       program, golden, schedule, pool, accumulator, information, 1e-8);

@@ -64,7 +64,6 @@ struct EquivalenceInferenceOptions {
   std::uint64_t budget = 0;     // total experiments to run (0 -> 1% of space)
   std::uint64_t seed = 1;
   bool filter = true;
-  std::size_t prop_buffer_cap = 32;
   int magnitude_bits_per_bucket = 3;
 };
 

@@ -24,7 +24,6 @@ struct InferenceOptions {
   double sample_fraction = 0.01;       // the paper's default evaluation rate
   std::uint64_t seed = 1;
   bool filter = false;                 // Section 3.5 filter operation
-  std::size_t prop_buffer_cap = 32;
   double significance_rel_error = 1e-8;  // Figure 4 row 2 significance cut
 
   /// Optional telemetry sink (telemetry/events.h): campaign.batch spans,
@@ -49,9 +48,12 @@ InferenceResult infer_uniform(const fi::Program& program,
                               util::ThreadPool& pool);
 
 /// Lower-level building block shared with the adaptive sampler: runs `ids`
-/// in Compare mode, feeding `accumulator` (masked runs only) and adding to
-/// `site_information` (significant injections and propagations, any
-/// outcome).  Returns the experiment records in `ids` order.
+/// in Compare mode to classify them and add to `site_information`
+/// (significant injections and propagations, any outcome), then feeds
+/// `accumulator` through the two-phase rebuild (campaign/log.h
+/// accumulate_records), which re-runs the masked ones.  The accumulator
+/// state is therefore independent of thread count.  Returns the experiment
+/// records in `ids` order.
 std::vector<ExperimentRecord> run_and_accumulate(
     const fi::Program& program, const fi::GoldenRun& golden,
     std::span<const ExperimentId> ids, util::ThreadPool& pool,
@@ -61,12 +63,14 @@ std::vector<ExperimentRecord> run_and_accumulate(
 
 /// Supervisor-backed variant for hazard programs whose corrupted runs can
 /// kill or hang the process: outcomes come from the isolated worker pool
-/// first; experiments that provably completed inside a worker (not Hang,
-/// not an isolation-reason Crash) are then re-run in-process in Compare
-/// mode to collect propagation and information -- identical evidence to
-/// run_and_accumulate for those ids.  Worker-killing experiments
-/// contribute their injection record and one unit of information at the
-/// injection site, but are never re-run in this process.
+/// first and feed the two-phase rebuild; experiments that provably
+/// completed inside a worker (not Hang, not an isolation-reason Crash) are
+/// then re-run in-process in Compare mode -- the masked ones by the
+/// rebuild's replay -- to collect propagation and information, identical
+/// evidence to run_and_accumulate for those ids.  Worker-killing
+/// experiments contribute their injection record and one unit of
+/// information at the injection site, but are never re-run in this
+/// process.  No experiment runs more than twice.
 std::vector<ExperimentRecord> run_and_accumulate_supervised(
     const fi::Program& program, const fi::GoldenRun& golden,
     std::span<const ExperimentId> ids, util::ThreadPool& pool,
@@ -76,8 +80,9 @@ std::vector<ExperimentRecord> run_and_accumulate_supervised(
     telemetry::Telemetry* telemetry = nullptr);
 
 /// Publishes the accumulator's health counters (non-finite skips, filter
-/// rejections, prop-buffer evictions) as boundary.* gauges.  No-op on a
-/// null/disabled sink; safe to call repeatedly (gauges are set, not added).
+/// rejections, propagation dropped by late SDC evidence) as boundary.*
+/// gauges.  No-op on a null/disabled sink; safe to call repeatedly (gauges
+/// are set, not added).
 void publish_accumulator_metrics(telemetry::Telemetry* telemetry,
                                  const boundary::BoundaryAccumulator& accumulator);
 

@@ -180,23 +180,14 @@ std::optional<CampaignLog> CampaignLog::load(const std::string& path,
   return log;
 }
 
-boundary::FaultToleranceBoundary boundary_from_log(
-    const fi::Program& program, const fi::GoldenRun& golden,
-    const CampaignLog& log, const boundary::AccumulatorOptions& options,
-    util::ThreadPool& pool) {
-  if (log.config_key() != program.config_key()) {
-    throw std::invalid_argument(
-        "boundary_from_log: log was recorded for a different configuration");
-  }
-  boundary::BoundaryAccumulator accumulator(golden.trace.size(), options);
-
-  // Injected-error evidence straight from the records; collect the masked
-  // ids for the propagation pass.  Only classic (site, bit) experiments
-  // feed the boundary: burst and memory-resident records (fi/memfault.h)
-  // are journaled alongside but describe a different fault model than the
-  // one the paper's boundary is defined over.
+void accumulate_records(const fi::Program& program,
+                        const fi::GoldenRun& golden,
+                        std::span<const ExperimentRecord> records,
+                        boundary::BoundaryAccumulator& accumulator,
+                        util::ThreadPool& pool,
+                        const CompareConsumer& observe) {
   std::vector<ExperimentId> masked_ids;
-  for (const ExperimentRecord& record : log.records()) {
+  for (const ExperimentRecord& record : records) {
     if (!is_classic(record.id)) continue;
     accumulator.record_injection(site_of(record.id), bit_of(record.id),
                                  record.result.outcome,
@@ -206,11 +197,24 @@ boundary::FaultToleranceBoundary boundary_from_log(
     }
   }
 
-  const auto consume = [&](const ExperimentRecord&,
+  const auto consume = [&](const ExperimentRecord& record,
                            std::span<const double> diffs) {
     accumulator.record_masked_propagation(diffs);
+    if (observe) observe(record, diffs);
   };
   (void)run_experiments_compare(program, golden, masked_ids, pool, consume);
+}
+
+boundary::FaultToleranceBoundary boundary_from_log(
+    const fi::Program& program, const fi::GoldenRun& golden,
+    const CampaignLog& log, const boundary::AccumulatorOptions& options,
+    util::ThreadPool& pool) {
+  if (log.config_key() != program.config_key()) {
+    throw std::invalid_argument(
+        "boundary_from_log: log was recorded for a different configuration");
+  }
+  boundary::BoundaryAccumulator accumulator(golden.trace.size(), options);
+  accumulate_records(program, golden, log.records(), accumulator, pool);
   return accumulator.finalize();
 }
 

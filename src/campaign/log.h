@@ -13,6 +13,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,10 +70,27 @@ class CampaignLog {
   std::vector<ExperimentRecord> records_;
 };
 
-/// Rebuilds a boundary from a log: injected-error evidence comes straight
-/// from the records; propagation evidence comes from re-running the masked
-/// experiments in compare mode.  The program configuration must match the
-/// log's key (checked).
+/// The two-phase boundary rebuild every path shares (paper Algorithm 1 and
+/// the Section 3.5 filter): first records the injection of every classic
+/// (site, bit) record into `accumulator`, then re-runs the masked ones in
+/// compare mode and feeds their propagation to
+/// record_masked_propagation -- so the SDC minima are fixed before any
+/// propagation value arrives, and the result does not depend on thread
+/// count or completion order.  `observe`, when set, also sees each replayed
+/// masked experiment (serialised, arbitrary order, like CompareConsumer).
+/// Burst and memory-resident records (fi/memfault.h) are skipped: they
+/// describe a different fault model than the (site, bit) boundary.
+void accumulate_records(const fi::Program& program,
+                        const fi::GoldenRun& golden,
+                        std::span<const ExperimentRecord> records,
+                        boundary::BoundaryAccumulator& accumulator,
+                        util::ThreadPool& pool,
+                        const CompareConsumer& observe = {});
+
+/// Rebuilds a boundary from a log through accumulate_records: injected-error
+/// evidence comes straight from the records; propagation evidence comes
+/// from re-running the masked experiments in compare mode.  The program
+/// configuration must match the log's key (checked).
 boundary::FaultToleranceBoundary boundary_from_log(
     const fi::Program& program, const fi::GoldenRun& golden,
     const CampaignLog& log, const boundary::AccumulatorOptions& options,

@@ -59,7 +59,6 @@ struct SectionCampaignOptions {
   campaign::SupervisorOptions supervisor;
   /// Boundary accumulation (Section 3.5 filter) for the evidence pass.
   bool filter = true;
-  std::size_t prop_buffer_cap = 32;
   /// Sites of the exit window (where the section's outgoing error bound is
   /// measured) and the entry window (where its incoming tolerance is read).
   std::uint64_t edge_window = 16;

@@ -402,7 +402,7 @@ void JobRunner::execute_campaign(const CampaignJob& job) {
                    " experiments and is resumable";
     } else {
       const boundary::FaultToleranceBoundary built = campaign::boundary_from_log(
-          *program, golden, run.log, {true, 32}, util::default_pool());
+          *program, golden, run.log, {true}, util::default_pool());
       const std::string artifact =
           options_.store_dir + "/" + key.str() + ".boundary";
       if (!boundary::save_to_file(built, program->config_key(), artifact)) {

@@ -45,8 +45,8 @@ TEST(Accumulator, CrashInjectionIsNeutral) {
 }
 
 TEST(Accumulator, FilterRejectsValuesAboveSdcMinimum) {
-  BoundaryAccumulator unfiltered(2, {/*filter=*/false, 32});
-  BoundaryAccumulator filtered(2, {/*filter=*/true, 32});
+  BoundaryAccumulator unfiltered(2, {/*filter=*/false});
+  BoundaryAccumulator filtered(2, {/*filter=*/true});
 
   for (auto* accumulator : {&unfiltered, &filtered}) {
     // A known SDC case at site 1 with injected error 1.0.
@@ -60,17 +60,19 @@ TEST(Accumulator, FilterRejectsValuesAboveSdcMinimum) {
 }
 
 TEST(Accumulator, FilterPrunesWhenSdcEvidenceArrivesLater) {
-  BoundaryAccumulator filtered(1, {/*filter=*/true, 32});
+  BoundaryAccumulator filtered(1, {/*filter=*/true});
   filtered.record_masked_propagation(diffs_at(1, {{0, 5.0}}));
   filtered.record_masked_propagation(diffs_at(1, {{0, 0.5}}));
   EXPECT_DOUBLE_EQ(filtered.finalize().threshold(0), 5.0);
   // SDC at 1.0 invalidates the 5.0 even though it was accepted earlier.
+  // The accumulator keeps one value per site, so the 0.5 below it is gone
+  // too: the threshold drops to 0 (conservative).
   filtered.record_injection(0, 3, Outcome::kSdc, 1.0);
-  EXPECT_DOUBLE_EQ(filtered.finalize().threshold(0), 0.5);
+  EXPECT_DOUBLE_EQ(filtered.finalize().threshold(0), 0.0);
 }
 
 TEST(Accumulator, FilterRejectsEqualToSdcMinimum) {
-  BoundaryAccumulator filtered(1, {/*filter=*/true, 32});
+  BoundaryAccumulator filtered(1, {/*filter=*/true});
   filtered.record_injection(0, 3, Outcome::kSdc, 1.0);
   filtered.record_masked_propagation(diffs_at(1, {{0, 1.0}}));  // == min SDC
   EXPECT_DOUBLE_EQ(filtered.finalize().threshold(0), 0.0);
@@ -79,26 +81,39 @@ TEST(Accumulator, FilterRejectsEqualToSdcMinimum) {
 TEST(Accumulator, MaskedInjectionAboveSdcMinIsFilteredToo) {
   // Non-monotonic direct evidence: masked at 2.0 but SDC at 1.0.  The
   // filtered boundary must not exceed the SDC minimum.
-  BoundaryAccumulator filtered(1, {/*filter=*/true, 32});
+  BoundaryAccumulator filtered(1, {/*filter=*/true});
   filtered.record_injection(0, 3, Outcome::kSdc, 1.0);
   filtered.record_injection(0, 9, Outcome::kMasked, 2.0);
   filtered.record_injection(0, 11, Outcome::kMasked, 0.25);
   EXPECT_DOUBLE_EQ(filtered.finalize().threshold(0), 0.25);
 }
 
-TEST(Accumulator, BufferEvictionStaysConservative) {
-  // Cap 2: inserting three surviving values keeps the largest two; the
-  // final threshold is still one of the surviving values (never larger
-  // than the true max).
-  BoundaryAccumulator filtered(1, {/*filter=*/true, 2});
+TEST(Accumulator, LateSdcEvidenceDropsPropagation) {
+  // SDC evidence arriving after propagation evidence: the site's scalar is
+  // the largest value seen (0.3); an SDC minimum below it invalidates it
+  // and the smaller values it stood for, so the threshold falls to 0
+  // (conservative -- never larger than the true filtered max) and the drop
+  // is counted.
+  BoundaryAccumulator filtered(1, {/*filter=*/true});
   filtered.record_masked_propagation(diffs_at(1, {{0, 0.1}}));
   filtered.record_masked_propagation(diffs_at(1, {{0, 0.3}}));
   filtered.record_masked_propagation(diffs_at(1, {{0, 0.2}}));
   EXPECT_DOUBLE_EQ(filtered.finalize().threshold(0), 0.3);
-  // SDC below the retained values: everything prunes; threshold falls to 0
-  // (conservative -- the 0.1 was evicted and cannot resurrect).
+  EXPECT_EQ(filtered.prop_evicted(), 0u);
   filtered.record_injection(0, 1, Outcome::kSdc, 0.15);
   EXPECT_DOUBLE_EQ(filtered.finalize().threshold(0), 0.0);
+  EXPECT_EQ(filtered.prop_evicted(), 1u);
+}
+
+TEST(Accumulator, LateSdcAboveScalarKeepsIt) {
+  BoundaryAccumulator filtered(1, {/*filter=*/true});
+  filtered.record_masked_propagation(diffs_at(1, {{0, 0.3}}));
+  filtered.record_injection(0, 1, Outcome::kSdc, 0.5);  // 0.3 stays valid
+  EXPECT_DOUBLE_EQ(filtered.finalize().threshold(0), 0.3);
+  EXPECT_EQ(filtered.prop_evicted(), 0u);
+  filtered.record_injection(0, 2, Outcome::kSdc, 0.3);  // equal: invalid
+  EXPECT_DOUBLE_EQ(filtered.finalize().threshold(0), 0.0);
+  EXPECT_EQ(filtered.prop_evicted(), 1u);
 }
 
 TEST(Accumulator, TestedBitsTracksDistinctBits) {
@@ -161,7 +176,7 @@ TEST(Accumulator, NonFiniteSdcInjectionLeavesSdcMinimumAlone) {
   // A NaN injected error on an SDC outcome carries no usable magnitude:
   // it must not disturb min_sdc_inj (NaN compares false against
   // everything, so the old code silently ignored it -- now it is counted).
-  BoundaryAccumulator filtered(1, {/*filter=*/true, 32});
+  BoundaryAccumulator filtered(1, {/*filter=*/true});
   filtered.record_injection(0, 3, Outcome::kSdc,
                             std::numeric_limits<double>::quiet_NaN());
   filtered.record_injection(0, 4, Outcome::kSdc, 1.0);
@@ -171,15 +186,18 @@ TEST(Accumulator, NonFiniteSdcInjectionLeavesSdcMinimumAlone) {
   EXPECT_EQ(filtered.nonfinite_skipped(), 1u);
 }
 
-TEST(Accumulator, CountsFilterRejectionsAndEvictions) {
-  BoundaryAccumulator filtered(1, {/*filter=*/true, 2});
+TEST(Accumulator, CountsFilterRejections) {
+  BoundaryAccumulator filtered(1, {/*filter=*/true});
   filtered.record_injection(0, 3, Outcome::kSdc, 1.0);
   filtered.record_masked_propagation(diffs_at(1, {{0, 5.0}}));  // rejected
   EXPECT_EQ(filtered.filter_rejected(), 1u);
   filtered.record_masked_propagation(diffs_at(1, {{0, 0.1}}));
   filtered.record_masked_propagation(diffs_at(1, {{0, 0.3}}));
-  filtered.record_masked_propagation(diffs_at(1, {{0, 0.2}}));  // evicts 0.1
-  EXPECT_EQ(filtered.prop_evicted(), 1u);
+  filtered.record_masked_propagation(diffs_at(1, {{0, 0.2}}));
+  // Injections before propagation: nothing is ever dropped.
+  EXPECT_EQ(filtered.filter_rejected(), 1u);
+  EXPECT_EQ(filtered.prop_evicted(), 0u);
+  EXPECT_DOUBLE_EQ(filtered.finalize().threshold(0), 0.3);
 }
 
 TEST(Accumulator, NonPositiveAndNonFiniteDiffsIgnored) {

@@ -288,8 +288,7 @@ TEST(CampaignLog, BoundaryFromLogMatchesDirectInference) {
   CampaignLog log(p.program->config_key());
   log.append(direct.records);
   const boundary::FaultToleranceBoundary rebuilt = boundary_from_log(
-      *p.program, p.golden, log, {options.filter, options.prop_buffer_cap},
-      p.pool);
+      *p.program, p.golden, log, {options.filter}, p.pool);
 
   ASSERT_EQ(rebuilt.sites(), direct.boundary.sites());
   for (std::size_t i = 0; i < rebuilt.sites(); ++i) {
@@ -310,7 +309,7 @@ TEST(CampaignLog, RebuildWithDifferentFilterSetting) {
   log.append(direct.records);
 
   const boundary::FaultToleranceBoundary unfiltered =
-      boundary_from_log(*p.program, p.golden, log, {false, 32}, p.pool);
+      boundary_from_log(*p.program, p.golden, log, {false}, p.pool);
   for (std::size_t i = 0; i < unfiltered.sites(); ++i) {
     EXPECT_GE(unfiltered.threshold(i) + 1e-300, direct.boundary.threshold(i))
         << i;

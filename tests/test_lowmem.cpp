@@ -113,22 +113,25 @@ TEST(LowMemPipeline, BoundaryMatchesStandardPipeline) {
   const campaign::InferenceResult standard =
       campaign::infer_uniform(*p.program, p.golden, options, pool);
 
-  boundary::BoundaryAccumulator accumulator(
-      p.golden.trace.size(), {options.filter, options.prop_buffer_cap});
+  // Same two phases as campaign::accumulate_records: every injection
+  // first, then the masked replays.
+  boundary::BoundaryAccumulator accumulator(p.golden.trace.size(),
+                                            {options.filter});
+  std::vector<campaign::ExperimentId> masked;
   for (const campaign::ExperimentId id : standard.sampled_ids) {
-    const Injection injection = campaign::injection_of(id);
-    const ExperimentResult outcome_pass =
-        run_injected_lowmem(*p.program, p.compressed, injection);
+    const ExperimentResult outcome_pass = run_injected_lowmem(
+        *p.program, p.compressed, campaign::injection_of(id));
     accumulator.record_injection(campaign::site_of(id), campaign::bit_of(id),
                                  outcome_pass.outcome,
                                  outcome_pass.injected_error);
-    if (outcome_pass.outcome == Outcome::kMasked) {
-      (void)run_injected_compare_lowmem(
-          *p.program, p.compressed, injection,
-          [&](std::uint64_t site, double error) {
-            accumulator.record_masked_value(site, error);
-          });
-    }
+    if (outcome_pass.outcome == Outcome::kMasked) masked.push_back(id);
+  }
+  for (const campaign::ExperimentId id : masked) {
+    (void)run_injected_compare_lowmem(
+        *p.program, p.compressed, campaign::injection_of(id),
+        [&](std::uint64_t site, double error) {
+          accumulator.record_masked_value(site, error);
+        });
   }
   const boundary::FaultToleranceBoundary lowmem_boundary =
       accumulator.finalize();

@@ -416,7 +416,7 @@ TEST(SectionCampaign, ComposedIsPointwiseConservativeAgainstMonolithic) {
   log.append(campaign::run_experiments(*p.program, p.golden, ids, p.pool));
   log.dedupe();
   const boundary::FaultToleranceBoundary monolithic = campaign::boundary_from_log(
-      *p.program, p.golden, log, {options.filter, 32}, p.pool);
+      *p.program, p.golden, log, {options.filter}, p.pool);
 
   const CompositionCheck check =
       compare_boundaries(composed, monolithic, log.records());

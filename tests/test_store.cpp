@@ -47,7 +47,7 @@ class StoreTest : public ::testing::Test {
     campaign::CampaignLog log(program->config_key());
     log.append(records);
     const auto built = campaign::boundary_from_log(
-        *program, golden, log, {true, 32}, util::default_pool());
+        *program, golden, log, {true}, util::default_pool());
     const std::string path =
         (dir_ / ("daxpy@tiny@" + std::to_string(seed) + ".boundary")).string();
     ASSERT_TRUE(boundary::save_to_file(built, program->config_key(), path));

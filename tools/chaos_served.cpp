@@ -521,7 +521,7 @@ void run_worker_chaos(const std::string& served, const std::string& workerd,
       fail(nullptr, "worker phase: boundary for %s missing", key.c_str());
     }
     const boundary::FaultToleranceBoundary built = campaign::boundary_from_log(
-        *program, golden, reference.log, {true, 32}, util::default_pool());
+        *program, golden, reference.log, {true}, util::default_pool());
     if (*boundary_bytes !=
         boundary::serialize(built, program->config_key())) {
       fail(nullptr, "worker phase: %s boundary bytes diverged from local run",

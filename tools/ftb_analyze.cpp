@@ -742,7 +742,7 @@ int cmd_compose(const util::Cli& cli) {
     log.dedupe();
     const boundary::FaultToleranceBoundary monolithic =
         campaign::boundary_from_log(*k.program, k.golden, log,
-                                    {options.filter, 32}, pool);
+                                    {options.filter}, pool);
     const sections::CompositionCheck check =
         sections::compare_boundaries(composed, monolithic, log.records());
     std::printf("verify            : %llu probes, %s prediction agreement\n",
