@@ -1,8 +1,18 @@
 // Microbenchmarks for the tracer hot path: the per-dynamic-instruction cost
 // of each tracer mode, which bounds how fast campaigns can run (every
 // experiment replays the whole kernel through Tracer::step).
+//
+// The BM_Tracer* cases drive step() from a tiny loop the compiler can fold
+// it into, so they show the floor.  The BM_KernelStep cases run the paper
+// preset CG/LU/FFT kernels, which is what a campaign pays per dynamic
+// instruction: an injection that never fires, one that fires mid-trace,
+// and the same mid-trace fault with propagation capture (the masked
+// replay).  They report the time per dynamic instruction (`per_instr`).
+//
+//   ./build/bench/micro_tracer --benchmark_filter=KernelStep
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "fi/executor.h"
@@ -107,5 +117,56 @@ void BM_ExperimentCgWithCompare(benchmark::State& state) {
                           static_cast<std::int64_t>(golden.trace.size()));
 }
 BENCHMARK(BM_ExperimentCgWithCompare);
+
+enum class KernelRun { kNeverFires, kMidTrace, kCompareMidTrace };
+
+void BM_KernelStep(benchmark::State& state, const std::string& kernel,
+                   KernelRun run) {
+  const fi::ProgramPtr program =
+      kernels::make_program(kernel, kernels::Preset::kPaper);
+  const fi::GoldenRun golden = fi::run_golden(*program);
+  const std::uint64_t sites = golden.trace.size();
+  // A low mantissa bit: the run finishes instead of trapping early, so
+  // every experiment executes the whole trace.
+  const fi::Injection mid = fi::Injection::bit_flip(sites / 2, 20);
+  std::vector<double> diffs(sites);
+  for (auto _ : state) {
+    switch (run) {
+      case KernelRun::kNeverFires: {
+        fi::Tracer tracer = fi::Tracer::injector(
+            fi::Injection::bit_flip(fi::Tracer::kNoCheckpoint, 0));
+        benchmark::DoNotOptimize(program->run(tracer));
+        break;
+      }
+      case KernelRun::kMidTrace:
+        benchmark::DoNotOptimize(fi::run_injected(*program, golden, mid));
+        break;
+      case KernelRun::kCompareMidTrace:
+        benchmark::DoNotOptimize(
+            fi::run_injected_compare(*program, golden, mid, diffs));
+        break;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sites));
+  // Seconds per dynamic instruction, printed with an SI prefix ("3.9n").
+  state.counters["per_instr"] = benchmark::Counter(
+      static_cast<double>(sites),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_KernelStep, cg_never_fires, "cg", KernelRun::kNeverFires);
+BENCHMARK_CAPTURE(BM_KernelStep, cg_mid_trace, "cg", KernelRun::kMidTrace);
+BENCHMARK_CAPTURE(BM_KernelStep, cg_compare_mid_trace, "cg",
+                  KernelRun::kCompareMidTrace);
+BENCHMARK_CAPTURE(BM_KernelStep, lu_never_fires, "lu", KernelRun::kNeverFires);
+BENCHMARK_CAPTURE(BM_KernelStep, lu_mid_trace, "lu", KernelRun::kMidTrace);
+BENCHMARK_CAPTURE(BM_KernelStep, lu_compare_mid_trace, "lu",
+                  KernelRun::kCompareMidTrace);
+BENCHMARK_CAPTURE(BM_KernelStep, fft_never_fires, "fft",
+                  KernelRun::kNeverFires);
+BENCHMARK_CAPTURE(BM_KernelStep, fft_mid_trace, "fft", KernelRun::kMidTrace);
+BENCHMARK_CAPTURE(BM_KernelStep, fft_compare_mid_trace, "fft",
+                  KernelRun::kCompareMidTrace);
 
 }  // namespace

@@ -106,15 +106,22 @@ inline void accumulate_value(double value, double& prop, double min_sdc,
 void BoundaryAccumulator::record_masked_propagation(
     std::span<const double> diffs) {
   assert(diffs.size() == site_count_);
+  // A 0 diff is neither evidence nor non-finite, so the walk starts at the
+  // first nonzero one -- at or after the injection site, since a replay
+  // leaves every earlier diff 0.
+  const std::size_t first = static_cast<std::size_t>(
+      std::find_if(diffs.begin(), diffs.end(),
+                   [](double d) { return d != 0.0; }) -
+      diffs.begin());
   double* prop = prop_.data();
   const double* min_sdc = min_sdc_.data();
   if (options_.filter) {
-    for (std::size_t j = 0; j < diffs.size(); ++j) {
+    for (std::size_t j = first; j < diffs.size(); ++j) {
       accumulate_value<true>(diffs[j], prop[j], min_sdc[j],
                              nonfinite_skipped_, filter_rejected_);
     }
   } else {
-    for (std::size_t j = 0; j < diffs.size(); ++j) {
+    for (std::size_t j = first; j < diffs.size(); ++j) {
       accumulate_value<false>(diffs[j], prop[j], kNoSdc, nonfinite_skipped_,
                               filter_rejected_);
     }

@@ -16,6 +16,30 @@
 // Kernels must be deterministic and free of data-dependent control flow so
 // fault-free and faulty runs execute identical dynamic-instruction
 // sequences; the executor verifies the step counts match.
+//
+// Hot-path contract.  step() is inlined into every kernel loop, so it only
+// handles the common cases and sends the rest to the out-of-line
+// step_event(), which carries the full per-mode semantics.  Two bounds pick
+// the case:
+//
+//   * quiet_until_: steps below it return v untouched.  It is
+//     next_checkpoint_ in Count mode; min(next_checkpoint_, injection.site)
+//     in Inject/Compare mode before the fault fires (next_checkpoint_ alone
+//     for a memory fault, which fires in touch()); 0 otherwise.
+//   * fired_until_: after the fault fires in Inject/Compare mode, steps
+//     below it run the crash check (and the Compare-mode diff store)
+//     inline.  It is next_checkpoint_, capped at diffs_.size() in Compare
+//     mode; 0 otherwise.
+//
+// Record mode appends inline below next_checkpoint_; everything else --
+// the injection site, checkpoint hooks, CompareStream, steps past the diff
+// buffer -- is step_event().  The bounds are a cache of (mode, fired_,
+// injection_, next_checkpoint_): anything that changes one of those must
+// call refresh_bounds().  Today that is the constructors and factories,
+// fire(), touch() when a memory fault fires, join(), arm_checkpoint_hook(),
+// rearm(), and the places a checkpoint hook returns (step_event, shard).
+// Tracer::Shard::step is not part of this scheme; it reads the parent's
+// state directly.
 #pragma once
 
 #include <algorithm>
@@ -165,6 +189,7 @@ class Tracer {
   static Tracer injector(const Injection& injection) noexcept {
     Tracer t(Mode::kInject);
     t.injection_ = injection;
+    t.refresh_bounds();
     return t;
   }
 
@@ -179,6 +204,7 @@ class Tracer {
     t.injection_ = injection;
     t.golden_ = golden;
     t.diffs_ = diffs;
+    t.refresh_bounds();
     return t;
   }
 
@@ -211,50 +237,25 @@ class Tracer {
   /// Trace-target injections fire when the dynamic-instruction index hits
   /// the injection site; once any fault has fired (trace or memory), a
   /// non-finite produced value simulates a trap via CrashSignal.
-  double step(double v) {
+  /// Only the common cases run here (the hot-path contract at the top of
+  /// this file); they are exact shortcuts of step_event().  Forced inline:
+  /// a call per dynamic instruction is the cost this layout removes, and CI
+  /// fails when a kernel object still calls it.
+  [[gnu::always_inline]] double step(double v) {
     const std::uint64_t idx = index_++;
-    if (idx >= next_checkpoint_) [[unlikely]] {
-      // Before the injection check on purpose: a hook that rearms this
-      // tracer with a fault at exactly this index must still fire it below.
-      next_checkpoint_ = checkpoint_.reached(checkpoint_.ctx, *this, idx);
-    }
-    switch (mode_) {
-      case Mode::kCount:
-        return v;
-      case Mode::kRecord:
-        trace_out_->push_back(v);
-        return v;
-      case Mode::kInject:
-        if (!injection_.is_memory_fault() && idx == injection_.site) {
-          v = fire(v, idx);
-        } else if (fired_ && !std::isfinite(v)) {
-          throw CrashSignal{idx};
-        }
-        return v;
-      case Mode::kCompare:
-        if (!injection_.is_memory_fault() && idx == injection_.site) {
-          v = fire(v, idx);
-        } else if (fired_ && !std::isfinite(v)) {
-          throw CrashSignal{idx};
-        }
-        if (fired_ && idx < diffs_.size()) {
-          diffs_[idx] = std::fabs(v - golden_[idx]);
-        }
-        return v;
-      case Mode::kCompareStream: {
-        const double golden_value = hooks_.next_golden(hooks_.ctx);
-        if (!injection_.is_memory_fault() && idx == injection_.site) {
-          v = fire(v, idx);
-        } else if (fired_ && !std::isfinite(v)) {
-          throw CrashSignal{idx};
-        }
-        if (fired_ && hooks_.observe != nullptr) {
-          hooks_.observe(hooks_.ctx, idx, std::fabs(v - golden_value));
-        }
-        return v;
+    if (idx < quiet_until_) [[likely]] return v;
+    if (idx < fired_until_) [[likely]] {
+      if (!(std::fabs(v) <= std::numeric_limits<double>::max())) [[unlikely]] {
+        trap(idx);  // NaN or +-inf, exactly !std::isfinite(v)
       }
+      if (mode_ == Mode::kCompare) diffs_[idx] = std::fabs(v - golden_[idx]);
+      return v;
     }
-    return v;  // unreachable
+    if (mode_ == Mode::kRecord && idx < next_checkpoint_) {
+      trace_out_->push_back(v);
+      return v;
+    }
+    return step_event(v, idx);
   }
 
   /// Announces live program state (a matrix/vector span) at a phase
@@ -275,6 +276,7 @@ class Tracer {
         point == injection_.touch_point && injection_.site < data.size()) {
       double& word = data[injection_.site];
       fired_ = true;
+      refresh_bounds();
       original_value_ = word;
       const double corrupted = injection_.apply(word);
       injected_error_ = std::isfinite(corrupted)
@@ -373,6 +375,7 @@ class Tracer {
       // thread (never on a worker thread -- fork() inside a threaded region
       // would be unsafe).  The hook registers the *actual* index it ran at.
       next_checkpoint_ = checkpoint_.reached(checkpoint_.ctx, *this, index_);
+      refresh_bounds();
     }
     Shard s;
     s.parent_ = this;
@@ -403,6 +406,7 @@ class Tracer {
       }
       crash_site = std::min(crash_site, s.crash_site_);
     }
+    refresh_bounds();
     if (crash_site != Shard::kNoCrash) throw CrashSignal{crash_site};
   }
 
@@ -417,10 +421,11 @@ class Tracer {
 
   /// Arms `hook` to fire the first time the dynamic-instruction index
   /// reaches `first`.  Pass kNoCheckpoint (the construction default) to
-  /// leave the hot path a single always-false comparison.
+  /// keep the hook off the hot path entirely.
   void arm_checkpoint_hook(CheckpointHook hook, std::uint64_t first) noexcept {
     checkpoint_ = hook;
     next_checkpoint_ = hook.reached != nullptr ? first : kNoCheckpoint;
+    refresh_bounds();
   }
 
   /// Swaps in a different injection mid-run, clearing the fired state.  Only
@@ -433,6 +438,7 @@ class Tracer {
     fired_ = false;
     injected_error_ = 0.0;
     original_value_ = 0.0;
+    refresh_bounds();
   }
 
   /// Number of dynamic instructions seen so far.
@@ -457,10 +463,41 @@ class Tracer {
     kCompareStream,
   };
 
-  explicit Tracer(Mode mode) noexcept : mode_(mode) {}
+  explicit Tracer(Mode mode) noexcept : mode_(mode) { refresh_bounds(); }
+
+  /// Recomputes quiet_until_ and fired_until_ from the mode, the fired
+  /// state, the injection and next_checkpoint_.  Every change to any of
+  /// those must call it (see the hot-path contract in the header comment).
+  void refresh_bounds() noexcept {
+    quiet_until_ = 0;
+    fired_until_ = 0;
+    if (mode_ == Mode::kCount) {
+      quiet_until_ = next_checkpoint_;
+    } else if (mode_ == Mode::kInject || mode_ == Mode::kCompare) {
+      if (!fired_) {
+        quiet_until_ = injection_.is_memory_fault()
+                           ? next_checkpoint_
+                           : std::min(next_checkpoint_, injection_.site);
+      } else if (mode_ == Mode::kCompare) {
+        fired_until_ = std::min<std::uint64_t>(next_checkpoint_, diffs_.size());
+      } else {
+        fired_until_ = next_checkpoint_;
+      }
+    }
+  }
+
+  /// The full per-mode semantics of step(), out of line: checkpoint hooks,
+  /// the injection site, the stream comparator and every step the inline
+  /// fast paths do not cover.
+  [[gnu::noinline]] double step_event(double v, std::uint64_t idx);
+
+  /// Throws CrashSignal{idx}; kept cold and out of line so the inline
+  /// step() carries no exception-raising code.
+  [[noreturn, gnu::cold, gnu::noinline]] static void trap(std::uint64_t idx);
 
   double fire(double v, std::uint64_t idx) {
     fired_ = true;
+    refresh_bounds();
     original_value_ = v;
     const double corrupted = injection_.apply(v);
     if (!std::isfinite(corrupted)) {
@@ -473,6 +510,10 @@ class Tracer {
 
   Mode mode_;
   std::uint64_t index_ = 0;
+  // The hot-path bounds (refresh_bounds): steps below quiet_until_ are
+  // pass-through; steps below fired_until_ take the post-fault fast path.
+  std::uint64_t quiet_until_ = 0;
+  std::uint64_t fired_until_ = 0;
   std::uint64_t next_checkpoint_ = kNoCheckpoint;
   CheckpointHook checkpoint_{};
   std::uint32_t touch_index_ = 0;
