@@ -81,7 +81,9 @@ VariantResult run_variant(const std::string& kernel, std::size_t threads,
                               pool);
 
   VariantResult variant;
-  variant.label = threads > 1 ? "t" + std::to_string(threads) : "serial";
+  // util::format rather than "t" + std::to_string(): GCC 12 misreports
+  // prepending a literal to a string as an overlapping memcpy (-Wrestrict).
+  variant.label = threads > 1 ? util::format("t%zu", threads) : "serial";
   variant.counts = result.counts;
   const std::size_t group_size =
       group ? group

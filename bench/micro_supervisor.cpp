@@ -1,14 +1,11 @@
-// Microbenchmarks comparing the two process-isolation strategies on the CG
-// kernel: the per-batch sandbox (fork one child per batch of experiments,
-// fi/sandbox.h run_injected_sandboxed via run_experiments_sandboxed) versus
-// the persistent worker pool behind the campaign supervisor
-// (campaign/supervisor.h), which forks once and streams chunks to long-lived
-// workers.  The supervisor's pitch is that amortising the fork across the
-// whole campaign makes isolation affordable, so the persistent pool must be
-// no slower than per-batch forking on a healthy (non-hazard) workload.
+// Microbenchmarks of process isolation on the CG kernel: the persistent
+// worker pool behind the campaign supervisor (campaign/supervisor.h), which
+// forks once and streams chunks to long-lived workers, warm and cold.
+// Amortising the fork across the whole campaign is what makes isolation
+// affordable on a healthy (non-hazard) workload.
 //
-// The snapshot benchmarks below add the third strategy: the same persistent
-// pool, but with each worker serving experiments from a copy-on-write
+// The snapshot benchmarks below add the second strategy: the same
+// persistent pool, but with each worker serving experiments from a copy-on-write
 // fork-server (fi/snapshot.h) so an experiment replays only the suffix after
 // the nearest checkpoint instead of the whole program.  Those run on
 // bench-sized CG/LU/FFT configs where one replay costs milliseconds -- at
@@ -37,8 +34,8 @@ struct CgFixture {
   CgFixture()
       : program(kernels::make_program("cg", kernels::Preset::kTiny)),
         golden(fi::run_golden(*program)) {
-    // A fixed, striped sample over the space: identical work for both
-    // strategies, spread across the whole trace.
+    // A fixed, striped sample over the space: identical work for every
+    // arm, spread across the whole trace.
     const std::uint64_t space = golden.sample_space_size();
     for (std::uint64_t i = 0; i < kExperiments; ++i) {
       ids.push_back((i * 9973) % space);
@@ -54,27 +51,6 @@ CgFixture& fixture() {
   static CgFixture f;
   return f;
 }
-
-void BM_CgPerBatchSandbox(benchmark::State& state) {
-  CgFixture& f = fixture();
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  const fi::SandboxOptions options;
-  for (auto _ : state) {
-    // One run_injected_sandboxed call -- and thus (at least) one fork() --
-    // per batch of experiments, as RunCampaign did before the supervisor.
-    for (std::size_t begin = 0; begin < f.ids.size(); begin += batch) {
-      const std::size_t count = std::min(batch, f.ids.size() - begin);
-      benchmark::DoNotOptimize(campaign::run_experiments_sandboxed(
-          *f.program, f.golden,
-          std::span<const campaign::ExperimentId>(f.ids.data() + begin,
-                                                  count),
-          options));
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.ids.size()));
-}
-BENCHMARK(BM_CgPerBatchSandbox)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
 void BM_CgSupervisorPool(benchmark::State& state) {
   CgFixture& f = fixture();

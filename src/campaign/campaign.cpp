@@ -41,25 +41,6 @@ std::vector<ExperimentRecord> run_experiments_compare(
   return records;
 }
 
-std::vector<ExperimentRecord> run_experiments_sandboxed(
-    const fi::Program& program, const fi::GoldenRun& golden,
-    std::span<const ExperimentId> ids, const fi::SandboxOptions& options,
-    fi::SandboxStats* stats) {
-  std::vector<fi::Injection> injections;
-  injections.reserve(ids.size());
-  for (const ExperimentId id : ids) injections.push_back(injection_of(id));
-
-  const std::vector<fi::ExperimentResult> results =
-      fi::run_injected_sandboxed(program, golden, injections, options, stats);
-
-  std::vector<ExperimentRecord> records(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    records[i].id = ids[i];
-    records[i].result = results[i];
-  }
-  return records;
-}
-
 OutcomeCounts count_outcomes(
     std::span<const ExperimentRecord> records) noexcept {
   OutcomeCounts counts;

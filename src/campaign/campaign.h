@@ -13,7 +13,6 @@
 #include "campaign/sample_space.h"
 #include "fi/executor.h"
 #include "fi/program.h"
-#include "fi/sandbox.h"
 #include "util/thread_pool.h"
 
 namespace ftb::campaign {
@@ -42,18 +41,6 @@ std::vector<ExperimentRecord> run_experiments_compare(
     const fi::Program& program, const fi::GoldenRun& golden,
     std::span<const ExperimentId> ids, util::ThreadPool& pool,
     const CompareConsumer& consume);
-
-/// Runs each listed experiment inside the process-isolation layer
-/// (fi/sandbox.h): experiments execute in forked child batches, so flips
-/// that segfault, trap, or hang are classified (Crash with a signal-derived
-/// CrashReason, or Hang via the watchdog) instead of taking down the
-/// campaign.  Single-threaded by design -- fork() and worker threads mix
-/// poorly; the per-experiment cost already dwarfs the lost parallelism for
-/// the hazard workloads this exists for.  Records are in `ids` order.
-std::vector<ExperimentRecord> run_experiments_sandboxed(
-    const fi::Program& program, const fi::GoldenRun& golden,
-    std::span<const ExperimentId> ids, const fi::SandboxOptions& options = {},
-    fi::SandboxStats* stats = nullptr);
 
 /// Outcome tallies over a record batch.
 struct OutcomeCounts {

@@ -125,29 +125,6 @@ CheckpointRunResult run_campaign_checkpointed(
     std::vector<ExperimentRecord> batch;
     if (supervisor) {
       batch = supervisor->run(chunk);
-    } else if (options.use_sandbox) {
-      // run_injected_sandboxed resets its stats output per batch, so
-      // accumulate chunk stats by hand.  timeout_ms = 0 would disable the
-      // watchdog and let one runaway flip hang the whole campaign, so an
-      // unattended checkpointed run substitutes a fallback deadline
-      // (derived from the supervisor heartbeat when one is configured).
-      fi::SandboxOptions sandbox_options = options.sandbox;
-      if (sandbox_options.timeout_ms == 0) {
-        sandbox_options.timeout_ms =
-            options.supervisor.pool.heartbeat_timeout_ms != 0
-                ? options.supervisor.pool.heartbeat_timeout_ms
-                : kFallbackDeadlineMs;
-      }
-      fi::SandboxStats chunk_stats;
-      batch = run_experiments_sandboxed(program, golden, chunk, sandbox_options,
-                                        &chunk_stats);
-      result.sandbox_stats.children_spawned += chunk_stats.children_spawned;
-      result.sandbox_stats.signal_deaths += chunk_stats.signal_deaths;
-      result.sandbox_stats.watchdog_kills += chunk_stats.watchdog_kills;
-      result.sandbox_stats.abnormal_exits += chunk_stats.abnormal_exits;
-      result.sandbox_stats.spawn_retries += chunk_stats.spawn_retries;
-      result.sandbox_stats.fallback_experiments +=
-          chunk_stats.fallback_experiments;
     } else {
       batch = run_experiments(program, golden, chunk, pool);
     }

@@ -1,14 +1,17 @@
 // Checkpointed campaign execution.
 //
-// A campaign over a hazard kernel can be killed at any moment -- by the
-// sandbox watchdog's host-side twin (CI timeouts), by the machine, or by the
-// user.  This runner makes that survivable: it executes experiments in
-// chunks and flushes the accumulated CampaignLog journal to disk after each
-// chunk (atomic tmp+rename, CRC-framed -- see campaign/log.h), so a
-// re-invocation with the same journal path resumes from the last flush
-// instead of starting over.  Already-logged experiment ids are skipped; the
-// final log, after dedupe, is identical to what an uninterrupted run would
-// have produced (experiment outcomes are deterministic).
+// A campaign over a hazard kernel can be killed at any moment -- by a CI
+// timeout, by the machine, or by the user.  This runner makes that
+// survivable: it executes experiments in chunks and flushes the accumulated
+// CampaignLog journal to disk after each chunk (atomic tmp+rename,
+// CRC-framed -- see campaign/log.h), so a re-invocation with the same
+// journal path resumes from the last flush instead of starting over.
+// Already-logged experiment ids are skipped; the final log, after dedupe,
+// is identical to what an uninterrupted run would have produced (experiment
+// outcomes are deterministic).  Chunks run either on the thread pool
+// (in-process, for well-behaved programs) or through one long-lived
+// CampaignSupervisor (the worker pool, with or without snapshots) -- the one
+// isolation backend, required for hazard kernels.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +24,6 @@
 #include "campaign/sample_space.h"
 #include "campaign/supervisor.h"
 #include "fi/program.h"
-#include "fi/sandbox.h"
 #include "util/thread_pool.h"
 
 namespace ftb::campaign {
@@ -45,20 +47,16 @@ struct CheckpointOptions {
   std::string path;
   /// Experiments per chunk; the journal is flushed after every chunk.
   std::size_t flush_every = 512;
-  /// Run chunks through the process-isolation layer (fi/sandbox.h) so
-  /// signal-crashes and hangs are classified instead of fatal.  Required for
-  /// hazard kernels.
-  bool use_sandbox = false;
-  fi::SandboxOptions sandbox;
-  /// Run chunks through one long-lived CampaignSupervisor instead: a
-  /// persistent worker pool with heartbeats, respawn, and site quarantine
-  /// (campaign/supervisor.h).  Takes precedence over use_sandbox.  The
-  /// supervisor -- and with it the quarantine ledger and the workers --
-  /// lives across all chunks of the invocation; a resumed invocation
-  /// rebuilds the ledger and converges to the same journal bytes.
+  /// Run chunks through one long-lived CampaignSupervisor: a persistent
+  /// worker pool with heartbeats, respawn, and a kill ledger
+  /// (campaign/supervisor.h), so signal-crashes and hangs are classified
+  /// instead of fatal.  Required for hazard kernels.  The supervisor -- and
+  /// with it the ledger and the workers -- lives across all chunks of the
+  /// invocation; a resumed invocation rebuilds the ledger and converges to
+  /// the same journal bytes.
   bool use_supervisor = false;
   SupervisorOptions supervisor;
-  /// Thread pool for the non-sandbox path; util::default_pool() when null.
+  /// Thread pool for the in-process path; util::default_pool() when null.
   util::ThreadPool* pool = nullptr;
 
   /// Optional telemetry sink (telemetry/events.h): checkpoint.chunk and
@@ -84,7 +82,6 @@ struct CheckpointRunResult {
   std::uint64_t executed = 0;   ///< experiments actually run this invocation
   std::uint64_t flushes = 0;    ///< journal writes (including the final one)
   bool stopped = false;         ///< should_stop fired; journal is resumable
-  fi::SandboxStats sandbox_stats;  ///< populated when use_sandbox
   SupervisorStats supervisor_stats;  ///< populated when use_supervisor
 };
 

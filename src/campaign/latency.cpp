@@ -14,8 +14,8 @@ void accumulate_latency(LatencyReport& report, const fi::GoldenRun& golden,
   switch (record.result.outcome) {
     case fi::Outcome::kCrash: {
       ++report.crashes;
-      // Only a non-finite trap pins a trap site.  Control-flow divergence,
-      // sandboxed signal deaths, and quarantined experiments report
+      // Only a non-finite trap pins a trap site.  Control-flow divergence
+      // and isolated signal deaths (fi::isolation_result) report
       // crash_site = 0; subtracting the injection site from that would
       // underflow to a huge uint64.  Skip and count them instead.
       if (record.result.crash_reason == fi::CrashReason::kNonFinite &&
@@ -54,7 +54,7 @@ void accumulate_latency(LatencyReport& report, const fi::GoldenRun& golden,
       // whole remaining trace by construction, so there is nothing to add.
       break;
     case fi::Outcome::kHang:
-      // Sandbox-only outcome; no trap site or propagation data exists.
+      // Process-isolation outcome; no trap site or propagation data exists.
       break;
   }
 }

@@ -38,8 +38,8 @@ struct LatencyReport {
   std::uint64_t sdcs = 0;
 
   /// Crash experiments excluded from crash_latency because they carry no
-  /// valid trap site: control-flow divergence, sandboxed signal deaths,
-  /// hang kills, and quarantined experiments all report crash_site = 0
+  /// valid trap site: control-flow divergence and isolated signal deaths
+  /// (fi::isolation_result) report crash_site = 0
   /// (no non-finite value ever hit the trace).  Charging those would
   /// compute crash_site - site on unrelated numbers -- in release builds
   /// that underflows to a huge uint64 and wrecks the latency table.

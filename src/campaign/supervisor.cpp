@@ -3,27 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <limits>
 #include <stdexcept>
 #include <thread>
 
 #include "telemetry/events.h"
 
 namespace ftb::campaign {
-
-namespace {
-
-fi::ExperimentResult quarantine_result() {
-  fi::ExperimentResult result;
-  result.outcome = fi::Outcome::kCrash;
-  result.crash_reason = fi::CrashReason::kQuarantined;
-  result.injected_error = std::numeric_limits<double>::infinity();
-  result.output_error = std::numeric_limits<double>::infinity();
-  result.crash_site = 0;
-  return result;
-}
-
-}  // namespace
 
 CampaignSupervisor::CampaignSupervisor(const fi::Program& program,
                                        const fi::GoldenRun& golden,
@@ -39,7 +24,7 @@ CampaignSupervisor::CampaignSupervisor(const fi::Program& program,
                   pool_options.chunk_capacity, options_.chunk_size);
               // A supervised campaign must always carry a deadline: 0 would
               // disable hang detection and let one poisoned flip hang the
-              // whole campaign (see SandboxOptions::timeout_ms).
+              // whole campaign.
               if (pool_options.heartbeat_timeout_ms == 0) {
                 pool_options.heartbeat_timeout_ms = kFallbackDeadlineMs;
               }
@@ -56,7 +41,7 @@ CampaignSupervisor::~CampaignSupervisor() = default;
 
 int CampaignSupervisor::kill_count(ExperimentId id) const noexcept {
   const auto it = ledger_.find(id);
-  return it != ledger_.end() ? it->second : 0;
+  return it != ledger_.end() ? it->second.kills : 0;
 }
 
 SupervisorStats CampaignSupervisor::stats() const {
@@ -86,8 +71,9 @@ std::vector<ExperimentRecord> CampaignSupervisor::run(
       static_cast<std::size_t>(std::max(options_.pool.workers, 1)));
   std::size_t outstanding = 0;  // dispatched, not yet resolved by an event
 
+  // A quarantined experiment keeps the classification of its latest kill.
   const auto record_quarantined = [&](std::size_t index) {
-    records[index].result = quarantine_result();
+    records[index].result = ledger_.at(ids[index]).last;
     ++stats_.quarantined;
     if (telemetry::active(tele)) {
       const ExperimentId id = ids[index];
@@ -190,14 +176,20 @@ std::vector<ExperimentRecord> CampaignSupervisor::run(
           ++stats_.worker_hangs;
         }
         // The culprit (in-flight experiment, if any) is charged on the
-        // ledger: quarantined at K kills, retried below that.  Everything
-        // after it never ran and is requeued uncharged.
+        // ledger with this event's classification: quarantined at K kills,
+        // retried below that.  Everything after it never ran and is
+        // requeued uncharged.
         std::size_t requeue_from = event.done;
         if (event.culprit != fi::WorkerEvent::kNoCulprit &&
             event.culprit < chunk.size()) {
           const std::size_t culprit_index = chunk[event.culprit];
-          const int kills = ++ledger_[ids[culprit_index]];
-          if (kills >= quarantine_after) {
+          LedgerEntry& entry = ledger_[ids[culprit_index]];
+          entry.last =
+              event.kind == fi::WorkerEvent::Kind::kWorkerDeath
+                  ? fi::isolation_result(fi::Outcome::kCrash, event.reason)
+                  : fi::isolation_result(fi::Outcome::kHang,
+                                         fi::CrashReason::kNone);
+          if (++entry.kills >= quarantine_after) {
             record_quarantined(culprit_index);
           } else {
             pending.push_back(culprit_index);

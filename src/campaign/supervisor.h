@@ -1,39 +1,41 @@
-// Resilient campaign supervision over a persistent worker pool.
+// Resilient campaign supervision over a persistent worker pool -- the one
+// process-isolation backend for campaigns.
 //
-// run_experiments_sandboxed() tolerates misbehaving experiments but pays a
-// fork() per batch and per death, and a campaign process itself can still
-// be lost to a CI timeout or an OOM kill.  CampaignSupervisor drives the
-// pre-forked fi::WorkerPool with full work-queue accounting so that a
-// campaign over hazard kernels survives arbitrary worker mortality:
+// A campaign process can be lost to a lethal flip, a CI timeout, or an OOM
+// kill.  CampaignSupervisor drives the pre-forked fi::WorkerPool with full
+// work-queue accounting so that a campaign over hazard kernels survives
+// arbitrary worker mortality:
 //
 //   * experiments are dispatched to idle workers in chunks; a worker death
-//     (classified through the CrashReason taxonomy) or a hang (missed
+//     (classified by fi::crash_reason_from_signal) or a hang (missed
 //     heartbeats, SIGKILLed) loses nothing -- results the worker published
 //     before dying are kept and every unfinished experiment of its chunk
 //     is requeued exactly once per event, so the final record set has no
 //     lost and no duplicated experiments;
-//   * a per-experiment *quarantine ledger* counts how many workers each
-//     (site, bit) pair has killed.  The in-flight culprit of a death or
-//     hang is requeued and retried until it reaches
-//     SupervisorOptions::quarantine_after kills, then recorded as Crash
-//     with CrashReason::kQuarantined and never dispatched again.  An
-//     experiment whose worker was killed *externally* (the culprit was
-//     innocent) simply succeeds on retry, so non-quarantined experiments
-//     end with outcomes identical to the per-batch sandbox baseline;
+//   * a per-experiment *kill ledger* counts how many workers each
+//     experiment id has killed, and keeps the classification of the latest
+//     kill.  The in-flight culprit of a death or hang is requeued and
+//     retried until it reaches SupervisorOptions::quarantine_after kills,
+//     then recorded with that classification -- Crash with the signal's
+//     reason, Crash/kAbnormalExit, or Hang -- through fi::isolation_result,
+//     exactly as a snapshot child's death is recorded, and never dispatched
+//     again.  A journal therefore does not depend on whether the pool ran
+//     with snapshots.  An experiment whose worker was killed *externally*
+//     (the culprit was innocent) simply succeeds on retry;
 //   * under resource pressure the pool shrinks (spawn retries with
 //     exponential backoff, then abandonment) and, once no worker is left,
 //     the supervisor degrades to the in-process executor -- except for
-//     experiments with a nonzero ledger entry, which are recorded
-//     kQuarantined rather than risk running a known worker-killer without
-//     isolation;
+//     experiments with a nonzero ledger entry, which are recorded with
+//     their ledger classification rather than risk running a known
+//     worker-killer without isolation;
 //   * outcomes are deterministic, so checkpointed campaigns
 //     (campaign/checkpoint.h) that route chunks through one long-lived
 //     supervisor resume byte-identically after the supervisor itself is
 //     SIGKILLed: the ledger rebuilds from scratch and lethal experiments
-//     re-earn their quarantine records.
+//     re-earn their records.
 //
-// Single-threaded like the sandbox layer: construct, run(), and destroy
-// from one thread while any worker threads are idle.
+// Single-threaded like the worker pool: construct, run(), and destroy from
+// one thread while any worker threads are idle.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +51,7 @@
 namespace ftb::campaign {
 
 /// Deadline substituted by campaign-driven paths (the supervisor's pool
-/// heartbeat, checkpoint.cpp's sandbox batches, service job runners) when a
-/// caller passes timeout 0.  0 means "no watchdog", which is acceptable for
+/// heartbeat, service job runners) when a caller passes timeout 0.  0 means "no watchdog", which is acceptable for
 /// interactive one-off runs but hangs an unattended campaign on the first
 /// runaway experiment, so campaign entry points never let it through.
 inline constexpr std::uint32_t kFallbackDeadlineMs = 2000;
@@ -65,8 +66,9 @@ struct SupervisorOptions {
   /// per death.
   std::size_t chunk_size = 16;
 
-  /// K: a (site, bit) pair that kills (or hangs) workers this many times is
-  /// quarantined -- recorded as Crash/kQuarantined and never retried.
+  /// K: an experiment that kills (or hangs) workers this many times is
+  /// quarantined -- recorded with its last kill's classification and never
+  /// retried.
   int quarantine_after = 3;
 
   /// Supervisor poll cadence while all workers are busy.
@@ -91,7 +93,7 @@ struct SupervisorStats {
   std::uint64_t worker_deaths = 0;         // deaths observed mid-chunk
   std::uint64_t worker_hangs = 0;          // heartbeat stalls mid-chunk
   std::uint64_t experiments_requeued = 0;  // chunk entries put back in queue
-  std::uint64_t quarantined = 0;           // experiments recorded kQuarantined
+  std::uint64_t quarantined = 0;           // experiments no longer retried
   std::uint64_t fallback_experiments = 0;  // run in-process after degradation
 };
 
@@ -127,7 +129,12 @@ class CampaignSupervisor {
   const fi::GoldenRun& golden_;
   SupervisorOptions options_;
   fi::WorkerPool pool_;
-  std::unordered_map<ExperimentId, int> ledger_;
+  /// Per culprit: kills charged, and the record its latest kill implies.
+  struct LedgerEntry {
+    int kills = 0;
+    fi::ExperimentResult last;
+  };
+  std::unordered_map<ExperimentId, LedgerEntry> ledger_;
   SupervisorStats stats_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <csignal>
 #include <limits>
 
 namespace ftb::fi {
@@ -74,6 +75,36 @@ bool is_isolation_reason(CrashReason reason) noexcept {
       return false;
   }
   return false;
+}
+
+ExperimentResult isolation_result(Outcome outcome,
+                                  CrashReason reason) noexcept {
+  ExperimentResult result;
+  result.outcome = outcome;
+  result.crash_reason = reason;
+  result.injected_error = std::numeric_limits<double>::infinity();
+  result.output_error = std::numeric_limits<double>::infinity();
+  result.crash_site = 0;
+  return result;
+}
+
+CrashReason crash_reason_from_signal(int sig) noexcept {
+  switch (sig) {
+    case SIGSEGV:
+      return CrashReason::kSigSegv;
+    case SIGFPE:
+      return CrashReason::kSigFpe;
+    case SIGABRT:
+      return CrashReason::kSigAbrt;
+#ifdef SIGBUS
+    case SIGBUS:
+      return CrashReason::kSigBus;
+#endif
+    case SIGILL:
+      return CrashReason::kSigIll;
+    default:
+      return CrashReason::kOtherSignal;
+  }
 }
 
 double OutputComparator::linf_distance(std::span<const double> output,

@@ -15,7 +15,8 @@ enum class Outcome : std::uint8_t {
                   // that was produced without tripping a CrashSignal: the
                   // program did not trap, so the corruption is silent)
   kCrash = 2,     // "loud" failure: NaN/Inf trap, fatal signal, diverged run
-  kHang = 3,      // watchdog killed a runaway experiment (sandbox only)
+  kHang = 3,      // a runaway experiment was killed by a worker-pool or
+                  // snapshot watchdog (process isolation only)
   kDetected = 4,  // output is wrong, but the program's ABFT detector fired:
                   // the corruption would have been reported, so it is not
                   // *silent* data corruption (fi/detector.h)
@@ -29,8 +30,9 @@ const char* to_string(Outcome outcome) noexcept;
 std::string outcome_name(std::uint64_t raw);
 
 /// Why a Crash (or Hang) experiment terminated.  The in-process executor can
-/// only observe the first two; the remaining reasons require the sandboxed
-/// executor (fi/sandbox.h), which classifies real child-process deaths.
+/// only observe the first two; the remaining reasons require process
+/// isolation (the worker pool in fi/sandbox.h, or the snapshot children in
+/// fi/snapshot.h), which classifies real child-process deaths.
 enum class CrashReason : std::uint8_t {
   kNone = 0,          // not a crash (Masked/SDC), or a Hang (no crash signal)
   kNonFinite = 1,     // NaN/Inf produced in the trace or output (CrashSignal)
@@ -42,8 +44,9 @@ enum class CrashReason : std::uint8_t {
   kSigIll = 7,        // child died with SIGILL
   kOtherSignal = 8,   // child died with some other fatal signal
   kAbnormalExit = 9,  // child exited nonzero without finishing the experiment
-  kQuarantined = 10,  // (site, bit) killed >= K workers; supervisor stopped
-                      // retrying it (campaign/supervisor.h quarantine ledger)
+  kQuarantined = 10,  // written only by older journals: the supervisor once
+                      // recorded an experiment that killed K workers this
+                      // way; it now records the death's own classification
 };
 
 const char* to_string(CrashReason reason) noexcept;
@@ -96,5 +99,17 @@ struct ExperimentResult {
   /// (detector fired on an output that was actually within tolerance).
   bool detector_fired = false;
 };
+
+/// The record of an experiment whose process died or was killed before it
+/// could report: `outcome` and `reason` as classified by the isolation
+/// layer, injected_error = output_error = +inf, crash_site = 0 (the dead
+/// process took that knowledge with it).  The worker pool, the snapshot
+/// children and the campaign supervisor all record lethal flips through
+/// this one function, so a journal does not depend on which of them ran.
+ExperimentResult isolation_result(Outcome outcome, CrashReason reason) noexcept;
+
+/// CrashReason for a child killed by `sig`: kSigSegv, kSigFpe, kSigAbrt,
+/// kSigBus, kSigIll, or kOtherSignal for anything else.
+CrashReason crash_reason_from_signal(int sig) noexcept;
 
 }  // namespace ftb::fi

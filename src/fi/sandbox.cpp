@@ -4,12 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <functional>
-#include <limits>
 #include <new>
-#include <stdexcept>
 #include <thread>
 #include <type_traits>
+#include <utility>
 
 #include "telemetry/events.h"
 #include "util/retry.h"
@@ -35,19 +33,8 @@ namespace ftb::fi {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-ExperimentResult isolation_result(Outcome outcome, CrashReason reason) {
-  ExperimentResult result;
-  result.outcome = outcome;
-  result.crash_reason = reason;
-  result.injected_error = kInf;
-  result.output_error = kInf;
-  result.crash_site = 0;
-  return result;
-}
-
-// Plain-old-data mirror of ExperimentResult living in the shared block.
+// Plain-old-data mirror of ExperimentResult living in a worker's shared
+// region.
 struct ResultSlot {
   std::uint8_t outcome = 0;
   std::uint8_t crash_reason = 0;
@@ -55,42 +42,6 @@ struct ResultSlot {
   double injected_error = 0.0;
   double output_error = 0.0;
   std::uint64_t crash_site = 0;
-};
-
-// Progress header.  `started` holds 1 + the index of the experiment the
-// child is currently executing; `done` the count of completed experiments.
-// Both are absolute over the whole batch.  Lock-free atomics are required
-// for cross-process progress reads; binary64 platforms all satisfy this.
-struct ShmHeader {
-  std::atomic<std::uint64_t> started;
-  std::atomic<std::uint64_t> done;
-};
-static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
-              "sandbox progress counters must be lock-free");
-
-struct SharedBlock {
-  ShmHeader* header = nullptr;
-  ResultSlot* slots = nullptr;
-  void* base = nullptr;
-  std::size_t bytes = 0;
-
-  bool map(std::size_t count) {
-    bytes = sizeof(ShmHeader) + count * sizeof(ResultSlot);
-    base = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                  MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-    if (base == MAP_FAILED) {
-      base = nullptr;
-      return false;
-    }
-    header = new (base) ShmHeader{};
-    slots = reinterpret_cast<ResultSlot*>(static_cast<char*>(base) +
-                                          sizeof(ShmHeader));
-    return true;
-  }
-
-  ~SharedBlock() {
-    if (base != nullptr) ::munmap(base, bytes);
-  }
 };
 
 void encode_slot(ResultSlot& slot, const ExperimentResult& result) {
@@ -113,253 +64,9 @@ ExperimentResult decode_slot(const ResultSlot& slot) {
   return result;
 }
 
-CrashReason crash_reason_from_signal(int sig) noexcept {
-  switch (sig) {
-    case SIGSEGV:
-      return CrashReason::kSigSegv;
-    case SIGFPE:
-      return CrashReason::kSigFpe;
-    case SIGABRT:
-      return CrashReason::kSigAbrt;
-    case SIGBUS:
-      return CrashReason::kSigBus;
-    case SIGILL:
-      return CrashReason::kSigIll;
-    default:
-      return CrashReason::kOtherSignal;
-  }
-}
-
-/// Child body: run experiments [next, count) sequentially, publishing each
-/// result before advancing.  Never returns.
-[[noreturn]] void child_run(const Program& program, const GoldenRun& golden,
-                            std::span<const Injection> injections,
-                            SharedBlock& block, std::size_t next) {
-  for (std::size_t i = next; i < injections.size(); ++i) {
-    block.header->started.store(i + 1, std::memory_order_release);
-    try {
-      const ExperimentResult result =
-          run_injected(program, golden, injections[i]);
-      encode_slot(block.slots[i], result);
-    } catch (...) {
-      // An exception other than the handled CrashSignal (e.g. bad_alloc
-      // from a corrupted allocation size): die loudly, the parent converts
-      // this into a kAbnormalExit crash for experiment i.
-      ::_exit(2);
-    }
-    block.header->done.store(i + 1, std::memory_order_release);
-  }
-  ::_exit(0);
-}
-
-enum class ChildEnd { kFinished, kKilledBySignal, kTimedOut, kExitedNonZero };
-
-struct ChildOutcome {
-  ChildEnd end = ChildEnd::kFinished;
-  int signal = 0;
-  std::uint64_t started = 0;  // header snapshot after death
-  std::uint64_t done = 0;
-};
-
-/// Supervises one child until it exits, is killed by a fault, or trips the
-/// watchdog.  Progress is "the child started or finished an experiment".
-ChildOutcome supervise(pid_t pid, const SharedBlock& block,
-                       std::size_t batch_size, const SandboxOptions& options) {
-  using Clock = std::chrono::steady_clock;
-  auto last_progress = Clock::now();
-  std::uint64_t last_seen =
-      block.header->started.load(std::memory_order_acquire) +
-      block.header->done.load(std::memory_order_acquire);
-
-  ChildOutcome outcome;
-  for (;;) {
-    int status = 0;
-    const pid_t waited = ::waitpid(pid, &status, WNOHANG);
-    if (waited == pid) {
-      outcome.started = block.header->started.load(std::memory_order_acquire);
-      outcome.done = block.header->done.load(std::memory_order_acquire);
-      if (WIFSIGNALED(status)) {
-        outcome.end = ChildEnd::kKilledBySignal;
-        outcome.signal = WTERMSIG(status);
-      } else if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
-        outcome.end = ChildEnd::kExitedNonZero;
-      } else {
-        outcome.end = ChildEnd::kFinished;
-      }
-      return outcome;
-    }
-
-    const std::uint64_t done =
-        block.header->done.load(std::memory_order_acquire);
-    const std::uint64_t seen =
-        block.header->started.load(std::memory_order_acquire) + done;
-    if (seen != last_seen) {
-      last_seen = seen;
-      last_progress = Clock::now();
-    }
-    if (done >= batch_size) {
-      // All results published; let the child finish exiting.
-      ::waitpid(pid, &status, 0);
-      outcome.started = block.header->started.load(std::memory_order_acquire);
-      outcome.done = done;
-      outcome.end = ChildEnd::kFinished;
-      return outcome;
-    }
-    if (options.timeout_ms != 0 &&
-        Clock::now() - last_progress >
-            std::chrono::milliseconds(options.timeout_ms)) {
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, &status, 0);
-      outcome.started = block.header->started.load(std::memory_order_acquire);
-      outcome.done = block.header->done.load(std::memory_order_acquire);
-      // The child may have died on its own between the WNOHANG poll and the
-      // SIGKILL; the reaped status then carries the real cause.  Believing
-      // it keeps a signal death from being misfiled as a watchdog kill (and
-      // double-counted in watchdog_kills), and a child that slipped in a
-      // clean exit -- possibly having published everything -- from being
-      // blamed for a hang it never had.
-      if (WIFSIGNALED(status) && WTERMSIG(status) != SIGKILL) {
-        outcome.end = ChildEnd::kKilledBySignal;
-        outcome.signal = WTERMSIG(status);
-      } else if (WIFEXITED(status)) {
-        outcome.end = WEXITSTATUS(status) != 0 ? ChildEnd::kExitedNonZero
-                                               : ChildEnd::kFinished;
-      } else {
-        outcome.end = ChildEnd::kTimedOut;
-      }
-      return outcome;
-    }
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(options.poll_interval_us));
-  }
-}
-
-}  // namespace
-
-bool sandbox_supported() noexcept { return true; }
-
-std::vector<ExperimentResult> run_injected_sandboxed(
-    const Program& program, const GoldenRun& golden,
-    std::span<const Injection> injections, const SandboxOptions& options,
-    SandboxStats* stats) {
-  SandboxStats local_stats;
-  SandboxStats& s = stats != nullptr ? *stats : local_stats;
-  s = SandboxStats{};
-
-  std::vector<ExperimentResult> results(injections.size());
-  if (injections.empty()) return results;
-
-  const std::size_t count = injections.size();
-  SharedBlock block;
-
-  // The shared block and each fork are retried with jittered exponential
-  // backoff (util/retry.h); both fail only under transient resource
-  // pressure.
-  util::RetryOptions retry_options;
-  retry_options.max_retries = options.max_spawn_retries;
-  retry_options.initial_backoff_ms = options.retry_backoff_ms;
-  auto with_retries = [&](const std::function<bool()>& attempt) -> bool {
-    util::RetryStats retry_stats;
-    const bool ok = util::retry_with_backoff(retry_options, attempt,
-                                             &retry_stats);
-    if (retry_stats.attempts > 1) {
-      s.spawn_retries += static_cast<std::uint64_t>(retry_stats.attempts - 1);
-    }
-    return ok;
-  };
-
-  auto fallback_from = [&](std::size_t next) {
-    if (!options.allow_in_process_fallback) {
-      throw std::runtime_error(
-          "sandbox: could not isolate experiments and in-process fallback "
-          "is disabled");
-    }
-    for (std::size_t i = next; i < count; ++i) {
-      results[i] = run_injected(program, golden, injections[i]);
-      ++s.fallback_experiments;
-    }
-  };
-
-  if (!with_retries([&] { return block.map(count); })) {
-    fallback_from(0);
-    return results;
-  }
-
-  std::size_t next = 0;
-  while (next < count) {
-    block.header->started.store(next, std::memory_order_release);
-    block.header->done.store(next, std::memory_order_release);
-
-    pid_t pid = -1;
-    const bool spawned = with_retries([&] {
-      pid = ::fork();
-      return pid >= 0;
-    });
-    if (!spawned) {
-      fallback_from(next);
-      return results;
-    }
-    if (pid == 0) {
-      child_run(program, golden, injections, block, next);  // never returns
-    }
-    ++s.children_spawned;
-
-    const ChildOutcome child = supervise(pid, block, count, options);
-
-    // Results completed by this child are valid regardless of how it died.
-    for (std::size_t i = next; i < child.done && i < count; ++i) {
-      results[i] = decode_slot(block.slots[i]);
-    }
-    next = child.done;
-
-    if (child.end == ChildEnd::kFinished) {
-      if (child.done >= count) break;
-      // Exited cleanly mid-batch: should not happen; treat the next
-      // experiment as the culprit so the loop always makes progress.
-      results[next] = isolation_result(Outcome::kCrash,
-                                       CrashReason::kAbnormalExit);
-      ++s.abnormal_exits;
-      ++next;
-      continue;
-    }
-
-    // Abnormal death.  The culprit is the experiment the child had started
-    // but not finished; if it died *between* experiments (started == done),
-    // the environment -- not an experiment -- is at fault.
-    const bool has_culprit = child.started > child.done;
-    if (!has_culprit) {
-      fallback_from(next);
-      return results;
-    }
-    const std::size_t culprit = static_cast<std::size_t>(child.started - 1);
-    switch (child.end) {
-      case ChildEnd::kTimedOut:
-        results[culprit] =
-            isolation_result(Outcome::kHang, CrashReason::kNone);
-        ++s.watchdog_kills;
-        break;
-      case ChildEnd::kKilledBySignal:
-        results[culprit] = isolation_result(
-            Outcome::kCrash, crash_reason_from_signal(child.signal));
-        ++s.signal_deaths;
-        break;
-      case ChildEnd::kExitedNonZero:
-      case ChildEnd::kFinished:  // unreachable here
-        results[culprit] =
-            isolation_result(Outcome::kCrash, CrashReason::kAbnormalExit);
-        ++s.abnormal_exits;
-        break;
-    }
-    next = culprit + 1;
-  }
-  return results;
-}
-
 // ---------------------------------------------------------------------------
 // WorkerPool (POSIX implementation)
 // ---------------------------------------------------------------------------
-
-namespace {
 
 static_assert(std::is_trivially_copyable_v<Injection>,
               "injections are copied byte-wise into shared memory");
@@ -371,13 +78,16 @@ constexpr std::uint32_t kShutdownCommand = 0xffffffffu;
 
 /// Per-worker shared region header.  `heartbeat` is a monotonic liveness
 /// counter (bumped at chunk pickup and every experiment start/finish);
-/// `started`/`done` are chunk-relative progress counters with the same
-/// semantics as the per-batch ShmHeader.
+/// `started` holds 1 + the chunk index of the experiment the worker is
+/// executing, `done` the count of completed experiments.  Lock-free atomics
+/// are required for cross-process progress reads.
 struct PoolShmHeader {
   std::atomic<std::uint64_t> heartbeat;
   std::atomic<std::uint64_t> started;
   std::atomic<std::uint64_t> done;
 };
+static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
+              "worker progress counters must be lock-free");
 
 /// One worker's shared mapping: header + injection slots + result slots.
 /// Mapped once per pool slot and reused across respawns (a fresh fork of
@@ -825,8 +535,7 @@ struct WorkerPool::Impl {
                                                  options.heartbeat_timeout_ms)) {
         ::kill(slot.pid, SIGKILL);
         ::waitpid(slot.pid, &status, 0);
-        // Same race as the per-batch watchdog: the worker may have finished
-        // the chunk, died on a fault's signal, or exited on its own between
+        // The worker may have finished the chunk, died on a fault's signal, or exited on its own between
         // the heartbeat check and the SIGKILL.  The reaped status and the
         // done counter carry the truth; only a genuine stall is a hang.
         const std::uint64_t done_now =
@@ -933,28 +642,6 @@ const WorkerPoolStats& WorkerPool::stats() const noexcept {
 }
 
 #else  // !FTB_SANDBOX_POSIX
-
-bool sandbox_supported() noexcept { return false; }
-
-std::vector<ExperimentResult> run_injected_sandboxed(
-    const Program& program, const GoldenRun& golden,
-    std::span<const Injection> injections, const SandboxOptions& options,
-    SandboxStats* stats) {
-  SandboxStats local_stats;
-  SandboxStats& s = stats != nullptr ? *stats : local_stats;
-  s = SandboxStats{};
-  if (!options.allow_in_process_fallback) {
-    throw std::runtime_error(
-        "sandbox: process isolation is unavailable on this platform and "
-        "in-process fallback is disabled");
-  }
-  std::vector<ExperimentResult> results(injections.size());
-  for (std::size_t i = 0; i < injections.size(); ++i) {
-    results[i] = run_injected(program, golden, injections[i]);
-    ++s.fallback_experiments;
-  }
-  return results;
-}
 
 // WorkerPool stub: no process isolation, so the pool is permanently empty
 // and callers take their in-process fallback path.

@@ -1,33 +1,36 @@
-// Process-isolation layer for fault-injection experiments.
+// Process isolation for fault-injection experiments: a persistent worker
+// pool.
 //
 // The in-process executor (fi/executor.h) can only observe "polite" crashes:
 // a CrashSignal thrown on the first non-finite value, or a step-count
 // mismatch detected after the run returns.  A bit flip that corrupts control
 // flow -- a loop trip count, a pivot index, an array offset -- instead
 // segfaults or hangs the *entire campaign process*, which is exactly the
-// failure class a resilience study must tolerate.  This layer runs batches
-// of experiments in a forked child process:
+// failure class a resilience study must tolerate.  WorkerPool runs
+// experiments in N pre-forked, long-lived worker processes.  Each worker
+// owns
 //
-//   * results stream back through a shared-memory result block, so every
-//     experiment completed before an abnormal death is preserved;
-//   * a child killed by a signal classifies the in-flight experiment as
-//     Crash with a CrashReason derived from the signal (SIGSEGV, SIGFPE,
-//     SIGBUS, SIGABRT, SIGILL, ...);
-//   * a wall-clock watchdog converts runaway experiments (no progress for
-//     `timeout_ms`) into the Outcome::kHang classification by SIGKILLing
-//     the child;
-//   * after each abnormal death the batch resumes in a fresh child at the
-//     next experiment, so one poisoned flip never costs more than itself;
-//   * transient spawn failures (fork/mmap) are retried with exponential
-//     backoff; when isolation is unavailable (retries exhausted or a
-//     non-POSIX platform) the remaining experiments gracefully fall back to
-//     the in-process executor -- with NO protection against genuine
-//     segfaults or hangs, so only feed well-behaved programs to the
-//     fallback (see SandboxOptions::allow_in_process_fallback).
+//   * a private shared-memory region: a heartbeat counter the worker bumps
+//     on every chunk pickup and experiment start/finish, started/done
+//     progress counters, and fixed-capacity injection/result slot arrays,
+//     so every result published before an abnormal death is preserved;
+//   * a command pipe: the parent copies a chunk of injections into the
+//     region and writes the chunk size (u32) to the pipe; the worker blocks
+//     in read() between chunks, so an idle pool costs nothing.
 //
-// Call this from a single thread.  fork() is invoked from the calling
-// thread while any worker threads should be idle (the campaign layer runs
-// sandbox batches sequentially, never from inside a thread-pool task).
+// The parent polls: a worker whose pid waits (signal death / abnormal exit)
+// or whose heartbeat stalls past heartbeat_timeout_ms (SIGKILLed) yields a
+// WorkerEvent carrying every result the worker published before dying plus
+// the index of the in-flight culprit experiment, with the death classified
+// by crash_reason_from_signal() (fi/outcome.h).  Dead workers are respawned
+// with exponential backoff (util/retry.h); when a respawn fails terminally
+// the pool *shrinks* instead of erroring, down to a floor of zero -- callers
+// watch worker_count() and fall back in-process.  campaign/supervisor.h
+// layers work-queue accounting, the kill ledger, and checkpoint integration
+// on top of this class; that is the one isolation backend campaigns use.
+//
+// Single-threaded: construct, dispatch, and poll from one thread while any
+// worker threads are idle (fork() duplicates only the calling thread).
 #pragma once
 
 #include <cstdint>
@@ -46,86 +49,6 @@ class Telemetry;
 }
 
 namespace ftb::fi {
-
-struct SandboxOptions {
-  /// Watchdog budget per experiment, measured from the last observed
-  /// progress (an experiment starting or finishing).  0 disables the
-  /// watchdog entirely -- a hung experiment then hangs the caller, so 0 is
-  /// only for interactive runs that accept that risk.  Campaign-driven
-  /// paths (campaign/checkpoint.h, service/jobs.cpp) never pass 0 through:
-  /// they substitute a fallback deadline derived from the supervisor's
-  /// heartbeat timeout.
-  std::uint32_t timeout_ms = 2000;
-
-  /// Parent poll cadence while the child runs.
-  std::uint32_t poll_interval_us = 200;
-
-  /// Transient fork/mmap failures are retried this many times ...
-  int max_spawn_retries = 3;
-
-  /// ... with this initial backoff, doubled per retry.
-  std::uint32_t retry_backoff_ms = 5;
-
-  /// When isolation cannot be established (spawn retries exhausted, or the
-  /// platform has no fork), run the remaining experiments in-process.
-  /// Disable to get a std::runtime_error instead -- prefer that for hazard
-  /// programs whose corrupted runs can take down the campaign process.
-  bool allow_in_process_fallback = true;
-};
-
-/// Observability counters for one sandboxed batch.
-struct SandboxStats {
-  std::uint64_t children_spawned = 0;  // fork()s that succeeded
-  std::uint64_t signal_deaths = 0;     // children killed by a fault's signal
-  std::uint64_t watchdog_kills = 0;    // children SIGKILLed by the watchdog
-  std::uint64_t abnormal_exits = 0;    // children that exited nonzero
-  std::uint64_t spawn_retries = 0;     // fork/mmap failures retried
-  std::uint64_t fallback_experiments = 0;  // experiments run in-process
-};
-
-/// True when this build/platform can isolate experiments in child processes.
-bool sandbox_supported() noexcept;
-
-/// Runs `injections[i]` against `program` inside a sandboxed child process
-/// and returns one ExperimentResult per injection, in order.  For
-/// well-behaved programs the results are identical to run_injected(); for
-/// misbehaving ones the extra outcomes above appear.  Experiments that died
-/// abnormally report injected_error = output_error = +inf and crash_site = 0
-/// (the child took that knowledge with it).
-std::vector<ExperimentResult> run_injected_sandboxed(
-    const Program& program, const GoldenRun& golden,
-    std::span<const Injection> injections, const SandboxOptions& options = {},
-    SandboxStats* stats = nullptr);
-
-// ---------------------------------------------------------------------------
-// Persistent worker pool.
-//
-// run_injected_sandboxed() pays one fork() per batch *and* one per abnormal
-// death; a campaign over a hazard kernel with thousands of lethal flips
-// spends most of its wall clock spawning children.  WorkerPool instead
-// pre-forks N long-lived workers at construction.  Each worker owns
-//
-//   * a private shared-memory region: a heartbeat counter the worker bumps
-//     on every chunk pickup and experiment start/finish, started/done
-//     progress counters, and fixed-capacity injection/result slot arrays;
-//   * a command pipe: the parent copies a chunk of injections into the
-//     region and writes the chunk size (u32) to the pipe; the worker blocks
-//     in read() between chunks, so an idle pool costs nothing.
-//
-// The parent polls: a worker whose pid waits (signal death / abnormal exit)
-// or whose heartbeat stalls past heartbeat_timeout_ms (SIGKILLed) yields a
-// WorkerEvent carrying every result the worker published before dying plus
-// the index of the in-flight culprit experiment, classified through the
-// same CrashReason taxonomy as the per-batch sandbox.  Dead workers are
-// respawned with exponential backoff (util/retry.h); when a respawn fails
-// terminally the pool *shrinks* instead of erroring, down to a floor of
-// zero -- callers watch worker_count() and fall back in-process (see
-// campaign/supervisor.h, which layers work-queue accounting, quarantine,
-// and checkpoint integration on top of this class).
-//
-// Single-threaded, like the rest of this file: construct, dispatch, and
-// poll from one thread while any worker threads are idle.
-// ---------------------------------------------------------------------------
 
 struct WorkerPoolOptions {
   /// Target number of persistent workers.  The pool starts with as many as
@@ -208,7 +131,7 @@ struct WorkerEvent {
   /// failure, no experiment to blame).  Always kNoCulprit for kChunkDone.
   std::size_t culprit = kNoCulprit;
 
-  /// Signal-derived classification for kWorkerDeath (kAbnormalExit for a
+  /// crash_reason_from_signal() for kWorkerDeath (kAbnormalExit for a
   /// nonzero exit); kNone otherwise.
   CrashReason reason = CrashReason::kNone;
 };

@@ -300,34 +300,6 @@ bool write_full_nosig(int fd, const void* buffer, std::size_t bytes) {
   return true;
 }
 
-CrashReason snapshot_reason_from_signal(int sig) noexcept {
-  switch (sig) {
-    case SIGSEGV:
-      return CrashReason::kSigSegv;
-    case SIGFPE:
-      return CrashReason::kSigFpe;
-    case SIGABRT:
-      return CrashReason::kSigAbrt;
-    case SIGBUS:
-      return CrashReason::kSigBus;
-    case SIGILL:
-      return CrashReason::kSigIll;
-    default:
-      return CrashReason::kOtherSignal;
-  }
-}
-
-ExperimentResult snapshot_isolation_result(Outcome outcome,
-                                           CrashReason reason) {
-  ExperimentResult result;
-  result.outcome = outcome;
-  result.crash_reason = reason;
-  result.injected_error = std::numeric_limits<double>::infinity();
-  result.output_error = std::numeric_limits<double>::infinity();
-  result.crash_site = 0;
-  return result;
-}
-
 void die_with_parent() {
 #if defined(__linux__)
   ::prctl(PR_SET_PDEATHSIG, SIGKILL);
@@ -452,14 +424,13 @@ void holder_loop(TreeContext& ctx, Tracer& tracer, std::size_t slot,
     }
     response.type = SnapshotResponse::Type::kResult;
     if (reaped && WIFSIGNALED(status) && WTERMSIG(status) != SIGKILL) {
-      response.result = snapshot_isolation_result(
-          Outcome::kCrash, snapshot_reason_from_signal(WTERMSIG(status)));
+      response.result = isolation_result(
+          Outcome::kCrash, crash_reason_from_signal(WTERMSIG(status)));
     } else if (reaped && WIFEXITED(status)) {
-      response.result = snapshot_isolation_result(Outcome::kCrash,
-                                                  CrashReason::kAbnormalExit);
-    } else {
       response.result =
-          snapshot_isolation_result(Outcome::kHang, CrashReason::kNone);
+          isolation_result(Outcome::kCrash, CrashReason::kAbnormalExit);
+    } else {
+      response.result = isolation_result(Outcome::kHang, CrashReason::kNone);
     }
     send_response(ctx, response);
   }
@@ -539,7 +510,7 @@ std::uint64_t checkpoint_reached(void* ctx_raw, Tracer& tracer,
     send_response(ctx, response);
     ::_exit(0);
   } catch (...) {
-    // Mirrors the sandbox child: an unexpected exception (bad_alloc from a
+    // Mirrors the pool worker: an unexpected exception (bad_alloc from a
     // corrupted allocation size, ...) is an abnormal exit the holder
     // classifies.
     ::_exit(2);

@@ -1,10 +1,10 @@
 // Snapshot fork-server: O(distance-to-snapshot) fault-injection experiments
 // via copy-on-write checkpoints.
 //
-// The classic executors (fi/executor.h, fi/sandbox.h) re-execute the kernel
-// from dynamic instruction 0 for every experiment, so a campaign's replay
-// work grows with the injection site: O(sites^2) dynamic work over a full
-// sweep.  This file applies the fuzzer fork-server idiom to fault injection
+// The classic executors (fi/executor.h, and the worker pool in fi/sandbox.h)
+// re-execute the kernel from dynamic instruction 0 for every experiment, so
+// a campaign's replay work grows with the injection site: O(sites^2)
+// dynamic work over a full sweep.  This file applies the fuzzer fork-server idiom to fault injection
 // instead:
 //
 //   * a *runner* process executes the golden run exactly once, with a
@@ -29,7 +29,8 @@
 // rejected -- never trusted -- on any corruption (encode/decode exposed
 // below so tests can fuzz them like net/frame.h).  Holders apply a
 // per-experiment watchdog, classify real signal deaths of experiment
-// children through the sandbox CrashReason taxonomy, and every level of the
+// children through isolation_result() / crash_reason_from_signal()
+// (fi/outcome.h), exactly as the worker pool does, and every level of the
 // tree arms PR_SET_PDEATHSIG so a killed campaign never leaks a paused
 // process.  When the tree is damaged (runner death, frame corruption,
 // response deadline) the server rebuilds it up to `max_rebuilds` times and
@@ -38,7 +39,7 @@
 //
 // fork() is only safe when the kernel configuration is single-threaded;
 // snapshot_safe() gates threaded configurations (":thr=" in the config
-// key) off to the classic path.  Single-threaded, like the sandbox layer:
+// key) off to the classic path.  Single-threaded, like the worker pool:
 // construct, run(), and destroy from one thread.
 #pragma once
 

@@ -1,22 +1,24 @@
 // Hazard kernels: workloads whose injected flips can genuinely corrupt
-// control flow, built to exercise the process-isolation layer
-// (fi/sandbox.h) with *real* misbehaviour instead of simulated crashes.
+// control flow, built to exercise process isolation (the worker pool in
+// fi/sandbox.h, driven by campaign/supervisor.h, with or without snapshots)
+// with *real* misbehaviour instead of simulated crashes.
 //
 // Both kernels deliberately break the library-wide "no data-dependent
 // control flow" contract: loop trip counts, array offsets, and integer
 // divisors are derived from *traced* values, so a bit flip at those sites
 // can
 //
-//   * spin a loop effectively forever              -> watchdog Hang,
-//   * index far outside an array                   -> SIGSEGV in the child,
-//   * drive an integer divisor to zero             -> SIGFPE in the child,
+//   * spin a loop effectively forever              -> heartbeat/watchdog Hang,
+//   * index far outside an array                   -> SIGSEGV in the worker,
+//   * drive an integer divisor to zero             -> SIGFPE in the worker,
 //   * shift the dynamic-instruction count          -> control-flow Crash.
 //
 // The fault-free run is still fully deterministic, so golden runs, config
 // keys, and outcome classification work unchanged.  NEVER run injected
-// experiments on these programs in-process: use run_injected_sandboxed (or
-// campaign::run_experiments_sandboxed) so a poisoned flip cannot take down
-// the campaign.  Control values are chosen with low mantissa bits clear
+// experiments on these programs in-process: run them through
+// campaign::CampaignSupervisor (CheckpointOptions::use_supervisor, or any
+// ftb_analyze backend flag) so a poisoned flip cannot take down the
+// campaign.  Control values are chosen with low mantissa bits clear
 // (small integers / powers of two), so low-order-mantissa flips perturb
 // them by less than one unit and leave control flow intact.
 #pragma once

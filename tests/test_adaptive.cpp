@@ -68,14 +68,18 @@ TEST(Adaptive, SupervisedSurvivesHazardKernel) {
   EXPECT_GT(result.rounds.size(), 0u);
   EXPECT_EQ(result.records.size(), result.sampled_ids.size());
   // Still alive: every sampled experiment got exactly one record, and any
-  // lethal flip the sampler found ended up quarantined, not fatal.
+  // lethal flip the sampler found ended up quarantined, not fatal -- and
+  // recorded as what killed the workers (a signal or a hang).
   EXPECT_EQ(result.supervisor_stats.quarantined,
-            static_cast<std::uint64_t>(
-                std::count_if(result.records.begin(), result.records.end(),
-                              [](const ExperimentRecord& r) {
-                                return r.result.crash_reason ==
-                                       fi::CrashReason::kQuarantined;
-                              })));
+            static_cast<std::uint64_t>(std::count_if(
+                result.records.begin(), result.records.end(),
+                [](const ExperimentRecord& r) {
+                  return fi::is_isolation_reason(r.result.crash_reason) ||
+                         r.result.outcome == fi::Outcome::kHang;
+                })));
+  for (const ExperimentRecord& record : result.records) {
+    EXPECT_NE(record.result.crash_reason, fi::CrashReason::kQuarantined);
+  }
 }
 
 TEST(Adaptive, NeverRetestsAnExperiment) {

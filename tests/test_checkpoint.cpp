@@ -114,6 +114,8 @@ TEST(Checkpoint, ResumedRunMatchesOneShot) {
 }
 
 TEST(Checkpoint, SandboxedChunksWork) {
+  // Chunks routed through the worker pool (the isolation backend) produce
+  // the same journal as the in-process thread pool.
   Prepared p("daxpy");
   util::Rng rng(33);
   const std::vector<ExperimentId> ids =
@@ -122,21 +124,31 @@ TEST(Checkpoint, SandboxedChunksWork) {
   CheckpointOptions options;
   options.path = temp_journal("sandboxed");
   options.flush_every = 15;
-  options.use_sandbox = true;
+  options.use_supervisor = true;
+  options.supervisor.pool.workers = 2;
   const CheckpointRunResult run =
       run_campaign_checkpointed(*p.program, p.golden, ids, options);
   EXPECT_EQ(run.executed, ids.size());
-  EXPECT_GE(run.sandbox_stats.children_spawned, 3u);  // one per chunk
-  EXPECT_EQ(run.sandbox_stats.fallback_experiments, 0u);
+  EXPECT_GE(run.supervisor_stats.chunks_dispatched, 3u);  // >= one per chunk
+  EXPECT_EQ(run.supervisor_stats.fallback_experiments, 0u);
+
+  CheckpointOptions in_process;
+  in_process.path = temp_journal("sandboxed_baseline");
+  in_process.flush_every = 15;
+  in_process.pool = &p.pool;
+  const CheckpointRunResult baseline =
+      run_campaign_checkpointed(*p.program, p.golden, ids, in_process);
+  EXPECT_EQ(run.log.serialize(), baseline.log.serialize());
   std::filesystem::remove(options.path);
+  std::filesystem::remove(in_process.path);
 }
 
 TEST(Checkpoint, ZeroSandboxTimeoutGetsFallbackDeadline) {
-  // Regression: SandboxOptions::timeout_ms = 0 disables the per-experiment
-  // watchdog, so a checkpointed campaign passing it through used to hang
-  // forever on the first runaway flip.  The checkpoint layer must instead
-  // substitute a deadline (here derived from the configured supervisor
-  // heartbeat) and classify the spin as a Hang.
+  // Regression: a timeout of 0 disables the per-experiment watchdog, so a
+  // checkpointed campaign passing it through used to hang forever on the
+  // first runaway flip.  The supervisor substitutes kFallbackDeadlineMs for
+  // a zero heartbeat, the snapshot server does the same for a zero
+  // snapshot timeout, and both classify the spin as a Hang.
   const kernels::HazardSpinProgram program{kernels::HazardSpinConfig{}};
   const fi::GoldenRun golden = fi::run_golden(program);
 
@@ -145,41 +157,45 @@ TEST(Checkpoint, ZeroSandboxTimeoutGetsFallbackDeadline) {
       encode(kernels::HazardSpinProgram::kDecaySite, 52),  // infinite spin
   };
 
-  CheckpointOptions options;
-  options.path = temp_journal("zero_timeout");
-  options.flush_every = 8;
-  options.use_sandbox = true;
-  options.sandbox.timeout_ms = 0;  // the hazardous configuration
-  options.supervisor.pool.heartbeat_timeout_ms = 300;  // fallback source
-  const CheckpointRunResult run =
-      run_campaign_checkpointed(program, golden, ids, options);
+  for (const bool snapshots : {false, true}) {
+    SCOPED_TRACE(snapshots ? "snapshot pool" : "pool");
+    CheckpointOptions options;
+    options.path = temp_journal("zero_timeout");
+    options.flush_every = 8;
+    options.use_supervisor = true;
+    options.supervisor.pool.workers = 1;
+    options.supervisor.quarantine_after = 1;
+    options.supervisor.pool.heartbeat_timeout_ms = 0;  // the hazardous value
+    options.supervisor.pool.use_snapshots = snapshots;
+    options.supervisor.pool.snapshot.timeout_ms = 0;
+    const CheckpointRunResult run =
+        run_campaign_checkpointed(program, golden, ids, options);
 
-  ASSERT_EQ(run.log.size(), ids.size());
-  EXPECT_EQ(run.log.records()[1].result.outcome, fi::Outcome::kHang);
-  EXPECT_GE(run.sandbox_stats.watchdog_kills, 1u);
-  std::filesystem::remove(options.path);
+    ASSERT_EQ(run.log.size(), ids.size());
+    EXPECT_EQ(run.log.records()[1].result.outcome, fi::Outcome::kHang);
+    EXPECT_EQ(run.log.records()[1].result.crash_reason, fi::CrashReason::kNone);
+    std::filesystem::remove(options.path);
+  }
 }
 
 TEST(Checkpoint, ResumeAcrossLethalExperiments) {
   // A hazard campaign interrupted after the journal saw a signal-crash
-  // resumes cleanly and keeps the crash record.
+  // resumes cleanly, keeps the crash record, and ends byte-identical to an
+  // uninterrupted run.
   const kernels::HazardProgram program{kernels::HazardConfig{}};
   const fi::GoldenRun golden = fi::run_golden(program);
-  const auto id = [](std::uint64_t site, int bit) {
-    return site * static_cast<std::uint64_t>(fi::kBitsPerValue) +
-           static_cast<std::uint64_t>(bit);
-  };
   const std::vector<ExperimentId> ids = {
-      id(0, 1),
-      id(program.divisor_site(0), 62),  // SIGFPE in the child
-      id(1, 2),
-      id(2, 3),
+      encode(0, 1),
+      encode(program.divisor_site(0), 62),  // SIGFPE in the worker
+      encode(1, 2),
+      encode(2, 3),
   };
 
   CheckpointOptions options;
   options.path = temp_journal("lethal");
   options.flush_every = 2;
-  options.use_sandbox = true;
+  options.use_supervisor = true;
+  options.supervisor.pool.workers = 2;
   const std::span<const ExperimentId> first(ids.data(), 2);
   (void)run_campaign_checkpointed(program, golden, first, options);
 
@@ -189,8 +205,15 @@ TEST(Checkpoint, ResumeAcrossLethalExperiments) {
   EXPECT_EQ(resumed.skipped, 2u);
   const CrashReasonCounts reasons =
       count_crash_reasons(resumed.log.records());
-  EXPECT_GE(reasons.isolation_crashes(), 1u);
+  EXPECT_EQ(reasons.isolation_crashes(), 1u);
+
+  CheckpointOptions uninterrupted = options;
+  uninterrupted.path = temp_journal("lethal_uninterrupted");
+  const CheckpointRunResult one_shot =
+      run_campaign_checkpointed(program, golden, ids, uninterrupted);
+  EXPECT_EQ(resumed.log.serialize(), one_shot.log.serialize());
   std::filesystem::remove(options.path);
+  std::filesystem::remove(uninterrupted.path);
 }
 
 TEST(Checkpoint, RejectsForeignJournal) {

@@ -78,7 +78,7 @@ TEST(LatencyReport, AggregatesOverSamples) {
 
 TEST(LatencyReport, CrashWithoutTrapSiteIsCountedNotCharged) {
   // Regression: a Crash record with crash_site = 0 (control-flow
-  // divergence, sandboxed signal deaths, quarantined experiments) used to
+  // divergence, worker-pool signal deaths, quarantined experiments) used to
   // feed crash_site - site into crash_latency guarded only by a debug
   // assert; in release builds the subtraction underflowed to ~2^64 and
   // wrecked the latency statistics.
@@ -97,8 +97,8 @@ TEST(LatencyReport, CrashWithoutTrapSiteIsCountedNotCharged) {
   EXPECT_EQ(report.crash_latency.count(), 0u);
   EXPECT_EQ(report.crashes_without_trap_site, 1u);
 
-  // Isolation deaths (sandbox signal kills, quarantine) have no trap
-  // site either, whatever crash_site claims.
+  // Isolation deaths (signal kills, and the quarantine records of older
+  // journals) have no trap site either, whatever crash_site claims.
   record.result.crash_reason = fi::CrashReason::kQuarantined;
   record.result.crash_site = 0;
   accumulate_latency(report, golden, record, {}, 1e-8);

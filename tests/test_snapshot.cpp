@@ -7,7 +7,8 @@
 //   * served experiments are bit-identical to run_injected() on well-behaved
 //     kernels, survive runner death via rebuild, degrade to the in-process
 //     fallback when the rebuild budget is spent, and classify hostile flips
-//     (signals, spins) through the same taxonomy as the sandbox;
+//     (signals, spins) through the same isolation_result() as the worker
+//     pool;
 //   * campaigns run through the worker pool / checkpoint layer with
 //     use_snapshots leave byte-identical journals to the classic path,
 //     including across an interrupt-and-resume cycle.

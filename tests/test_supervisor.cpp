@@ -1,11 +1,12 @@
 // Tests for the resilient campaign supervisor (campaign/supervisor.h) and
 // the persistent worker pool underneath it (fi/sandbox.h WorkerPool):
-// baseline equivalence, quarantine-after-exactly-K, external worker kills
-// and stops (innocent experiments retried, nothing lost or duplicated),
-// graceful degradation to in-process execution, and byte-identical
-// checkpoint resume after the supervisor itself is SIGKILLed.  As in
-// test_sandbox.cpp, signal identity is asserted via is_isolation_reason()
-// so sanitizer builds (where a segfault becomes a nonzero exit) still pass.
+// baseline equivalence, quarantine-after-exactly-K with the kill's own
+// classification, external worker kills and stops (innocent experiments
+// retried, nothing lost or duplicated), graceful degradation to in-process
+// execution, journals that do not depend on the backend, and byte-identical
+// checkpoint resume after the supervisor itself is SIGKILLed.  Lethal flips
+// are expected to record the signal they die of (SIGSEGV, SIGFPE), or the
+// abnormal exit a sanitizer turns it into (signal_death.h).
 #include "campaign/supervisor.h"
 
 #include <signal.h>
@@ -18,6 +19,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -30,11 +34,14 @@
 #include "fi/executor.h"
 #include "kernels/hazard.h"
 #include "kernels/registry.h"
+#include "signal_death.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace ftb::campaign {
 namespace {
+
+using test_support::signal_death;
 
 void expect_records_match(std::span<const ExperimentRecord> actual,
                           std::span<const ExperimentRecord> expected) {
@@ -120,10 +127,17 @@ TEST(Supervisor, QuarantinesLethalSiteAfterExactlyKAttempts) {
   const std::vector<ExperimentRecord> records = supervisor.run(ids);
 
   ASSERT_EQ(records.size(), 3u);
-  // The lethal flip burned exactly K workers, then was quarantined.
+  // The lethal flip burned exactly K workers, then was recorded with the
+  // classification of its kills, as a snapshot child's death would be.
   EXPECT_EQ(supervisor.kill_count(ids[1]), 3);
   EXPECT_EQ(records[1].result.outcome, fi::Outcome::kCrash);
-  EXPECT_EQ(records[1].result.crash_reason, fi::CrashReason::kQuarantined);
+  EXPECT_EQ(records[1].result.crash_reason,
+            signal_death(fi::CrashReason::kSigSegv));
+  EXPECT_EQ(records[1].result.injected_error,
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(records[1].result.output_error,
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(records[1].result.crash_site, 0u);
   const SupervisorStats stats = supervisor.stats();
   EXPECT_EQ(stats.worker_deaths, 3u);
   EXPECT_EQ(stats.quarantined, 1u);
@@ -139,47 +153,11 @@ TEST(Supervisor, QuarantinesLethalSiteAfterExactlyKAttempts) {
   // A later run() call skips the quarantined experiment at dispatch time
   // without burning any more workers.
   const std::vector<ExperimentRecord> again = supervisor.run(ids);
-  EXPECT_EQ(again[1].result.crash_reason, fi::CrashReason::kQuarantined);
+  EXPECT_EQ(again[1].result.outcome, fi::Outcome::kCrash);
+  EXPECT_EQ(again[1].result.crash_reason,
+            signal_death(fi::CrashReason::kSigSegv));
   EXPECT_EQ(supervisor.stats().worker_deaths, 3u);
   EXPECT_EQ(supervisor.kill_count(ids[1]), 3);
-}
-
-TEST(Supervisor, NonQuarantinedOutcomesMatchPerBatchSandbox) {
-  // The acceptance criterion: outcomes identical to the per-batch sandbox
-  // baseline for every non-quarantined experiment.
-  const kernels::HazardProgram program{kernels::HazardConfig{}};
-  const fi::GoldenRun golden = fi::run_golden(program);
-  const std::vector<ExperimentId> ids = {
-      encode(0, 1),
-      encode(program.offset_site(1), 61),   // SIGSEGV
-      encode(1, 2),
-      encode(program.divisor_site(0), 62),  // SIGFPE
-      encode(2, 3),
-  };
-  const std::vector<ExperimentRecord> sandboxed =
-      run_experiments_sandboxed(program, golden, ids);
-
-  SupervisorOptions options;
-  options.pool.workers = 2;
-  options.quarantine_after = 1;  // quarantine on first kill: fastest
-  CampaignSupervisor supervisor(program, golden, options);
-  const std::vector<ExperimentRecord> supervised = supervisor.run(ids);
-
-  ASSERT_EQ(supervised.size(), sandboxed.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (supervised[i].result.crash_reason == fi::CrashReason::kQuarantined) {
-      // Quarantined experiments are exactly the sandbox's isolation
-      // crashes here, still classified Crash.
-      EXPECT_EQ(supervised[i].result.outcome, fi::Outcome::kCrash) << i;
-      EXPECT_TRUE(fi::is_isolation_reason(sandboxed[i].result.crash_reason))
-          << i;
-      continue;
-    }
-    EXPECT_EQ(supervised[i].result.outcome, sandboxed[i].result.outcome) << i;
-    EXPECT_DOUBLE_EQ(supervised[i].result.output_error,
-                     sandboxed[i].result.output_error)
-        << i;
-  }
 }
 
 TEST(Supervisor, HeartbeatStallQuarantinesHangingExperiment) {
@@ -199,8 +177,8 @@ TEST(Supervisor, HeartbeatStallQuarantinesHangingExperiment) {
   const std::vector<ExperimentRecord> records = supervisor.run(ids);
 
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].result.outcome, fi::Outcome::kCrash);
-  EXPECT_EQ(records[0].result.crash_reason, fi::CrashReason::kQuarantined);
+  EXPECT_EQ(records[0].result.outcome, fi::Outcome::kHang);
+  EXPECT_EQ(records[0].result.crash_reason, fi::CrashReason::kNone);
   EXPECT_NE(records[1].result.outcome, fi::Outcome::kHang);
   EXPECT_FALSE(fi::is_isolation_reason(records[1].result.crash_reason));
   const SupervisorStats stats = supervisor.stats();
@@ -371,9 +349,12 @@ TEST(Supervisor, FallbackNeverRunsKnownWorkerKillersInProcess) {
 
   const std::vector<ExperimentRecord> records = supervisor.run(ids);
   ASSERT_EQ(records.size(), 2u);
-  // The killer was recorded kQuarantined by the fallback (ledger = 1 kill),
-  // not run in this process -- otherwise this test binary would be dead.
-  EXPECT_EQ(records[0].result.crash_reason, fi::CrashReason::kQuarantined);
+  // The fallback recorded the killer with its ledger classification
+  // (1 kill, SIGSEGV) instead of running it in this process -- otherwise
+  // this test binary would be dead.
+  EXPECT_EQ(records[0].result.outcome, fi::Outcome::kCrash);
+  EXPECT_EQ(records[0].result.crash_reason,
+            signal_death(fi::CrashReason::kSigSegv));
   EXPECT_EQ(supervisor.kill_count(ids[0]), 1);
   const fi::ExperimentResult direct =
       fi::run_injected(program, golden, injection_of(ids[1]));
@@ -431,6 +412,78 @@ TEST(SupervisorCheckpoint, JournalMatchesThreadPoolJournalByteForByte) {
   EXPECT_EQ(read_file_bytes(supervised_path.path),
             read_file_bytes(baseline_path.path));
   EXPECT_EQ(a.supervisor_stats.fallback_experiments, 0u);
+}
+
+TEST(SupervisorCheckpoint, JournalIsByteIdenticalAcrossBackends) {
+  // A lethal flip is recorded the same way whichever backend isolates it:
+  // the plain pool (where the supervisor's kill ledger classifies it, at
+  // any worker count) and the snapshot pool (where the holder classifies
+  // the experiment child's death) write the same journal bytes.
+  const kernels::HazardProgram hazard{kernels::HazardConfig{}};
+  const kernels::HazardSpinProgram spin{kernels::HazardSpinConfig{}};
+  struct Lethal {
+    fi::Outcome outcome;
+    fi::CrashReason reason;
+  };
+  struct Case {
+    const fi::Program* program;
+    std::vector<ExperimentId> ids;  // benign neighbours plus `lethal`
+    std::map<ExperimentId, Lethal> lethal;
+  };
+  const ExperimentId segv = encode(hazard.offset_site(1), 61);
+  const ExperimentId fpe = encode(hazard.divisor_site(0), 62);
+  const ExperimentId spinning =
+      encode(kernels::HazardSpinProgram::kDecaySite, 52);
+  const std::vector<Case> cases = {
+      {&hazard,
+       {encode(0, 1), segv, encode(1, 2), fpe, encode(2, 3)},
+       {{segv,
+         {fi::Outcome::kCrash, signal_death(fi::CrashReason::kSigSegv)}},
+        {fpe, {fi::Outcome::kCrash, signal_death(fi::CrashReason::kSigFpe)}}}},
+      {&spin,
+       {encode(0, 0), spinning, encode(1, 1)},
+       {{spinning, {fi::Outcome::kHang, fi::CrashReason::kNone}}}},
+  };
+
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const fi::GoldenRun golden = fi::run_golden(*cases[c].program);
+    std::vector<std::string> journals;
+    for (const auto& [workers, snapshots] :
+         {std::pair{1, false}, std::pair{2, false}, std::pair{2, true}}) {
+      TempPath path("ftb_backend_journal_");
+      CheckpointOptions options;
+      options.path = path.path;
+      options.flush_every = 2;
+      options.use_supervisor = true;
+      options.supervisor.pool.workers = workers;
+      options.supervisor.pool.heartbeat_timeout_ms = 500;
+      options.supervisor.pool.use_snapshots = snapshots;
+      options.supervisor.pool.snapshot.interval = 16;
+      options.supervisor.pool.snapshot.timeout_ms = 500;
+      options.supervisor.quarantine_after = 2;
+      const CheckpointRunResult run = run_campaign_checkpointed(
+          *cases[c].program, golden, cases[c].ids, options);
+      ASSERT_EQ(run.log.size(), cases[c].ids.size());
+      for (const ExperimentRecord& record : run.log.records()) {
+        const auto lethal = cases[c].lethal.find(record.id);
+        if (lethal == cases[c].lethal.end()) {
+          EXPECT_NE(record.result.outcome, fi::Outcome::kHang) << record.id;
+          EXPECT_FALSE(fi::is_isolation_reason(record.result.crash_reason))
+              << record.id;
+        } else {
+          EXPECT_EQ(record.result.outcome, lethal->second.outcome)
+              << record.id;
+          EXPECT_EQ(record.result.crash_reason, lethal->second.reason)
+              << record.id;
+        }
+      }
+      journals.push_back(read_file_bytes(path.path));
+    }
+    EXPECT_EQ(journals[0], journals[1]) << "pool at 1 vs 2 workers, case "
+                                        << c;
+    EXPECT_EQ(journals[0], journals[2]) << "pool vs snapshot pool, case "
+                                        << c;
+  }
 }
 
 TEST(SupervisorCheckpoint, ResumeAfterSupervisorSigkillIsByteIdentical) {

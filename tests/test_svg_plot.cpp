@@ -24,8 +24,10 @@ TEST(SvgChart, ContainsCanvasTitleAndSeries) {
   };
   SvgOptions options;
   options.title = "Shape <check>";
-  options.x_label = "x";
-  options.y_label = "y";
+  // Move-assigned: GCC 12 misreports copying a one-character literal into
+  // a string as an overlapping memcpy (-Wrestrict), fatal under -Werror.
+  options.x_label = std::string("x");
+  options.y_label = std::string("y");
   const std::string svg = svg_chart(series, options);
   EXPECT_EQ(svg.rfind("<svg", 0), 0u);
   EXPECT_NE(svg.find("</svg>"), std::string::npos);

@@ -18,6 +18,7 @@
 #include "campaign/supervisor.h"
 #include "fi/executor.h"
 #include "kernels/hazard.h"
+#include "signal_death.h"
 #include "telemetry/export.h"
 #include "telemetry/registry.h"
 #include "util/thread_pool.h"
@@ -229,7 +230,9 @@ TEST(TelemetrySupervisor, WorkerKillEmitsRespawnRequeueAndQuarantineEvents) {
   const std::vector<campaign::ExperimentRecord> records = supervisor.run(ids);
 
   ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[1].result.crash_reason, fi::CrashReason::kQuarantined);
+  EXPECT_EQ(records[1].result.outcome, fi::Outcome::kCrash);
+  EXPECT_EQ(records[1].result.crash_reason,
+            test_support::signal_death(fi::CrashReason::kSigSegv));
 
   // The JSONL stream carries the whole story: initial spawns, the respawn
   // after each kill, the requeue of the blamed experiment, the quarantine.

@@ -174,6 +174,36 @@ int save_if_requested(const util::Cli& cli,
   return 0;
 }
 
+/// Selects the isolation backend.  --workers N, --quarantine-after K,
+/// --sandbox 1 (implied by --timeout-ms MS), --snapshot 1 (implied by
+/// --snapshot-every I) each choose the worker-pool supervisor: N workers
+/// (default 4), quarantine after K kills (default 3), MS (default 2000) as
+/// both the heartbeat and the snapshot watchdog, and with --snapshot the
+/// copy-on-write fork-server inside the workers (fi/snapshot.h) every I
+/// dynamic instructions (default 4096).  Returns false, leaving `options`
+/// untouched, when none is given: experiments then run in-process, which
+/// only well-behaved kernels survive.
+bool select_supervisor(const util::Cli& cli,
+                       campaign::SupervisorOptions& options) {
+  const bool use_snapshots =
+      cli.get_bool("snapshot", cli.has("snapshot-every"));
+  if (!cli.has("workers") && !cli.has("quarantine-after") && !use_snapshots &&
+      !cli.get_bool("sandbox", cli.has("timeout-ms"))) {
+    return false;
+  }
+  const auto timeout_ms =
+      static_cast<std::uint32_t>(cli.get_int("timeout-ms", 2000));
+  options.pool.workers = static_cast<int>(cli.get_int("workers", 4));
+  options.pool.heartbeat_timeout_ms = timeout_ms;
+  options.pool.use_snapshots = use_snapshots;
+  options.pool.snapshot.interval =
+      static_cast<std::uint64_t>(cli.get_int("snapshot-every", 4096));
+  options.pool.snapshot.timeout_ms = timeout_ms;
+  options.quarantine_after =
+      static_cast<int>(cli.get_int("quarantine-after", 3));
+  return true;
+}
+
 int cmd_infer(const util::Cli& cli) {
   telemetry::Telemetry* const tele = setup_telemetry(cli);
   const Loaded k = load_kernel(cli, tele);
@@ -185,24 +215,12 @@ int cmd_infer(const util::Cli& cli) {
     campaign::AdaptiveOptions options;
     options.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
     options.filter = cli.get_bool("filter", true);
-    // --workers N routes every round through the persistent worker-pool
-    // supervisor -- the only safe way to run adaptive inference on the
-    // hazard kernels, whose lethal flips would kill this process.
-    options.use_supervisor =
-        cli.has("workers") || cli.has("quarantine-after");
-    options.supervisor.pool.workers = cli.get_int("workers", 4);
-    options.supervisor.quarantine_after = cli.get_int("quarantine-after", 3);
-    // --snapshot serves each refinement round from the copy-on-write
-    // fork-server inside the pool workers (fi/snapshot.h), so late-site
-    // rounds stop replaying the whole prefix.  It needs the supervisor, so
-    // it forces one on; the records and boundary stay byte-identical to
-    // the classic supervisor path (tests/test_adaptive.cpp pins this).
-    if (cli.get_bool("snapshot", cli.has("snapshot-every"))) {
-      options.use_supervisor = true;
-      options.supervisor.pool.use_snapshots = true;
-      options.supervisor.pool.snapshot.interval =
-          static_cast<std::uint64_t>(cli.get_int("snapshot-every", 4096));
-    }
+    // A backend flag routes every round through the worker-pool supervisor
+    // -- the only safe way to run adaptive inference on the hazard
+    // kernels, whose lethal flips would kill this process.  Records and
+    // boundary are byte-identical on every backend for well-behaved
+    // kernels (tests/test_adaptive.cpp pins this).
+    options.use_supervisor = select_supervisor(cli, options.supervisor);
     options.telemetry = tele;
     const campaign::AdaptiveResult result =
         campaign::infer_adaptive(*k.program, k.golden, options, pool);
@@ -333,44 +351,37 @@ std::vector<campaign::ExperimentId> sample_fault_ids(
                               "' (expected bitflip, burst, mem or memburst)");
 }
 
-/// Checkpointed campaign: run the sampled experiment set through the
-/// journalled runner, flushing every --flush-every experiments so an
-/// interrupted invocation resumes from the last flush.  --timeout-ms (or
-/// --sandbox 1) routes experiments through the fork-based isolation layer;
-/// --workers N upgrades that to the persistent worker-pool supervisor
-/// (heartbeats, respawn with backoff, --quarantine-after K site
-/// quarantine), which is the cheapest way to campaign hazard kernels.
-int cmd_campaign_resume(const util::Cli& cli, const Loaded& k,
-                        const std::string& path,
-                        telemetry::Telemetry* tele) {
+/// Journalled campaign through the checkpointed runner, flushing every
+/// --flush-every experiments so an interrupted invocation resumes from the
+/// last flush.  --resume FILE aims at the --batch ids sampled at --seed, so
+/// a re-invocation finishes the same experiment set.  --log FILE (`extend`)
+/// grows the journal instead: each call samples --batch ids at --seed plus
+/// the records already logged, then rebuilds the boundary from everything
+/// logged (--save FILE writes it).  Backend flags as select_supervisor().
+int cmd_campaign_journal(const util::Cli& cli, const Loaded& k,
+                         const std::string& path, bool extend,
+                         telemetry::Telemetry* tele) {
   campaign::CheckpointOptions options;
   options.telemetry = tele;
   options.path = path;
   options.flush_every =
       static_cast<std::size_t>(cli.get_int("flush-every", 512));
-  options.use_sandbox = cli.get_bool("sandbox", cli.has("timeout-ms"));
-  options.sandbox.timeout_ms =
-      static_cast<std::uint32_t>(cli.get_int("timeout-ms", 2000));
-  options.use_supervisor = cli.has("workers") || cli.has("quarantine-after");
-  options.supervisor.pool.workers = cli.get_int("workers", 4);
-  options.supervisor.pool.heartbeat_timeout_ms = options.sandbox.timeout_ms;
-  options.supervisor.quarantine_after = cli.get_int("quarantine-after", 3);
-  // --snapshot serves experiments from the copy-on-write fork-server
-  // (fi/snapshot.h) instead of replaying each one from instruction 0.  It
-  // lives inside the pool workers, so it forces the supervisor on; journals
-  // stay byte-identical to the classic path either way.
-  if (cli.get_bool("snapshot", cli.has("snapshot-every"))) {
-    options.use_supervisor = true;
-    options.supervisor.pool.use_snapshots = true;
-    options.supervisor.pool.snapshot.interval =
-        static_cast<std::uint64_t>(cli.get_int("snapshot-every", 4096));
-    options.supervisor.pool.snapshot.timeout_ms = options.sandbox.timeout_ms;
-  }
+  options.use_supervisor = select_supervisor(cli, options.supervisor);
 
-  // The id set must be a pure function of the seed (and fault flags): a
-  // resumed invocation has to aim at the same experiments as the
-  // interrupted one.
-  const std::vector<campaign::ExperimentId> ids = sample_fault_ids(cli, k, 0);
+  // With --resume the id set is a pure function of the seed and the fault
+  // flags, so a resumed invocation aims at the same experiments as the
+  // interrupted one.  --log offsets the seed by the journal's size, so each
+  // call adds new ids (an interrupted call keeps what it flushed).  A
+  // journal that does not load offsets nothing; the runner rejects it
+  // below with the reason.
+  std::uint64_t seed_offset = 0;
+  if (extend) {
+    if (const auto existing = campaign::CampaignLog::load(path)) {
+      seed_offset = existing->size();
+    }
+  }
+  const std::vector<campaign::ExperimentId> ids =
+      sample_fault_ids(cli, k, seed_offset);
 
   const campaign::CheckpointRunResult run =
       campaign::run_campaign_checkpointed(*k.program, k.golden, ids, options);
@@ -396,56 +407,38 @@ int cmd_campaign_resume(const util::Cli& cli, const Loaded& k,
                 static_cast<unsigned long long>(sup.experiments_requeued),
                 static_cast<unsigned long long>(sup.quarantined),
                 static_cast<unsigned long long>(sup.fallback_experiments));
-  } else if (options.use_sandbox) {
-    std::printf("sandbox           : %llu children, %llu signal deaths, "
-                "%llu watchdog kills, %llu fallback\n",
-                static_cast<unsigned long long>(run.sandbox_stats.children_spawned),
-                static_cast<unsigned long long>(run.sandbox_stats.signal_deaths),
-                static_cast<unsigned long long>(run.sandbox_stats.watchdog_kills),
-                static_cast<unsigned long long>(
-                    run.sandbox_stats.fallback_experiments));
   }
   std::printf("logged %zu distinct experiments -> %s\n", run.log.size(),
               path.c_str());
   print_outcomes(run.log.records());
-  return export_telemetry(cli);
+  if (!extend) return export_telemetry(cli);
+
+  const boundary::FaultToleranceBoundary built = campaign::boundary_from_log(
+      *k.program, k.golden, run.log, {cli.get_bool("filter", true), 32},
+      util::default_pool());
+  describe_boundary(built, k);
+  const int saved = save_if_requested(cli, built, k);
+  const int exported = export_telemetry(cli);
+  return saved != 0 ? saved : exported;
 }
 
 /// Journal-less one-shot campaign: sample --batch experiments and classify
-/// them in chunks, through the persistent worker-pool supervisor
-/// (--workers N), the per-batch sandbox (--sandbox / --timeout-ms), or
-/// in-process.  Nothing is written except the telemetry exports -- this is
-/// the quickest way to profile a campaign configuration.
+/// them in --chunk sized chunks, through the worker-pool supervisor when a
+/// backend flag selects it (select_supervisor), in-process otherwise.
+/// Nothing is written except the telemetry exports -- this is the quickest
+/// way to profile a campaign configuration.
 int cmd_campaign_oneshot(const util::Cli& cli, const Loaded& k,
                          telemetry::Telemetry* tele) {
   util::ThreadPool& pool = util::default_pool();
   const std::vector<campaign::ExperimentId> ids = sample_fault_ids(cli, k, 0);
-
   const auto chunk_size = static_cast<std::size_t>(cli.get_int("chunk", 256));
-  const auto timeout_ms =
-      static_cast<std::uint32_t>(cli.get_int("timeout-ms", 2000));
-  const bool use_sandbox = cli.get_bool("sandbox", cli.has("timeout-ms"));
 
-  // --snapshot requires the worker-pool supervisor (the fork-server lives
-  // inside its workers), so it forces one on even without --workers.
-  const bool use_snapshots =
-      cli.get_bool("snapshot", cli.has("snapshot-every"));
   std::optional<campaign::CampaignSupervisor> supervisor;
-  if (cli.has("workers") || use_snapshots) {
-    campaign::SupervisorOptions options;
-    options.pool.workers = static_cast<int>(cli.get_int("workers", 4));
-    options.pool.heartbeat_timeout_ms = timeout_ms;
-    options.pool.use_snapshots = use_snapshots;
-    options.pool.snapshot.interval =
-        static_cast<std::uint64_t>(cli.get_int("snapshot-every", 4096));
-    options.pool.snapshot.timeout_ms = timeout_ms;
-    options.quarantine_after =
-        static_cast<int>(cli.get_int("quarantine-after", 3));
+  campaign::SupervisorOptions options;
+  if (select_supervisor(cli, options)) {
     options.telemetry = tele;
     supervisor.emplace(*k.program, k.golden, options);
   }
-  fi::SandboxOptions sandbox_options;
-  sandbox_options.timeout_ms = timeout_ms;
 
   std::vector<campaign::ExperimentRecord> records;
   records.reserve(ids.size());
@@ -456,16 +449,10 @@ int cmd_campaign_oneshot(const util::Cli& cli, const Loaded& k,
                                                         end - begin);
     telemetry::SpanScope span(tele, "campaign.chunk", "campaign");
     span.arg("experiments", static_cast<double>(chunk.size()));
-    std::vector<campaign::ExperimentRecord> chunk_records;
-    if (supervisor) {
-      chunk_records = supervisor->run(chunk);
-    } else if (use_sandbox) {
-      chunk_records = campaign::run_experiments_sandboxed(
-          *k.program, k.golden, chunk, sandbox_options);
-    } else {
-      chunk_records =
-          campaign::run_experiments(*k.program, k.golden, chunk, pool);
-    }
+    const std::vector<campaign::ExperimentRecord> chunk_records =
+        supervisor ? supervisor->run(chunk)
+                   : campaign::run_experiments(*k.program, k.golden, chunk,
+                                               pool);
     records.insert(records.end(), chunk_records.begin(), chunk_records.end());
     ++chunks;
   }
@@ -485,56 +472,20 @@ int cmd_campaign_oneshot(const util::Cli& cli, const Loaded& k,
   return export_telemetry(cli);
 }
 
-/// Runs (or extends) a persistent campaign log, then rebuilds the boundary
-/// from everything logged so far -- the resumable-campaign workflow.
+/// campaign: --resume FILE or --log FILE for a journalled campaign,
+/// neither for a one-shot one.
 int cmd_campaign(const util::Cli& cli) {
   telemetry::Telemetry* const tele = setup_telemetry(cli);
   const Loaded k = load_kernel(cli, tele);
   const std::string resume = cli.get("resume");
-  if (!resume.empty()) return cmd_campaign_resume(cli, k, resume, tele);
-
-  const std::string path = cli.get("log");
-  if (path.empty()) {
-    // No journal requested: run the one-shot (ephemeral) campaign.
-    return cmd_campaign_oneshot(cli, k, tele);
+  if (!resume.empty()) {
+    return cmd_campaign_journal(cli, k, resume, /*extend=*/false, tele);
   }
-  util::ThreadPool& pool = util::default_pool();
-
-  campaign::CampaignLog log(k.program->config_key());
-  std::string load_error;
-  if (auto existing = campaign::CampaignLog::load(path, &load_error)) {
-    if (existing->config_key() != k.program->config_key()) {
-      std::fprintf(stderr, "error: %s holds a different configuration\n",
-                   path.c_str());
-      return 1;
-    }
-    log = std::move(*existing);
-    std::printf("resuming: %zu experiments already logged\n", log.size());
-  } else if (load_error.find("cannot open") == std::string::npos) {
-    // Missing file = fresh campaign; anything else is real corruption.
-    std::fprintf(stderr, "error: %s\n", load_error.c_str());
-    return 1;
+  const std::string log = cli.get("log");
+  if (!log.empty()) {
+    return cmd_campaign_journal(cli, k, log, /*extend=*/true, tele);
   }
-
-  const std::vector<campaign::ExperimentId> ids =
-      sample_fault_ids(cli, k, log.size());
-  log.append(campaign::run_experiments(*k.program, k.golden, ids, pool));
-  log.dedupe();
-  if (!log.save(path)) {
-    std::fprintf(stderr, "error: could not write %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("logged %zu distinct experiments -> %s\n", log.size(),
-              path.c_str());
-  print_outcomes(log.records());
-
-  const boundary::FaultToleranceBoundary built = campaign::boundary_from_log(
-      *k.program, k.golden, log,
-      {cli.get_bool("filter", true), 32}, pool);
-  describe_boundary(built, k);
-  const int saved = save_if_requested(cli, built, k);
-  const int exported = export_telemetry(cli);
-  return saved != 0 ? saved : exported;
+  return cmd_campaign_oneshot(cli, k, tele);
 }
 
 sections::CarveOptions carve_options(const util::Cli& cli) {
@@ -641,15 +592,7 @@ int cmd_compose(const util::Cli& cli) {
   options.edge_window =
       static_cast<std::uint64_t>(cli.get_int("edge-window", 16));
   options.telemetry = tele;
-  options.use_supervisor = cli.has("workers") || cli.has("quarantine-after");
-  options.supervisor.pool.workers = cli.get_int("workers", 4);
-  options.supervisor.quarantine_after = cli.get_int("quarantine-after", 3);
-  if (cli.get_bool("snapshot", cli.has("snapshot-every"))) {
-    options.use_supervisor = true;
-    options.supervisor.pool.use_snapshots = true;
-    options.supervisor.pool.snapshot.interval =
-        static_cast<std::uint64_t>(cli.get_int("snapshot-every", 4096));
-  }
+  options.use_supervisor = select_supervisor(cli, options.supervisor);
 
   g_compose_stop = 0;
   std::signal(SIGTERM, compose_stop_handler);
@@ -876,22 +819,16 @@ int main(int argc, char** argv) {
       "  list        known kernels and presets\n"
       "  golden      golden-run statistics and phase table\n"
       "  infer       build a boundary by sampling (--strategy uniform|adaptive,\n"
-      "              --fraction F, --filter 0|1, --save FILE; with adaptive,\n"
-      "              --workers N / --quarantine-after K run rounds through the\n"
-      "              crash-safe supervisor -- required for hazard kernels)\n"
+      "              --fraction F, --filter 0|1, --save FILE; adaptive takes\n"
+      "              the backend flags below -- required for hazard kernels)\n"
       "  exhaustive  ground-truth campaign and exact boundary (--save FILE)\n"
-      "  campaign    resumable logged campaign: run --batch more experiments,\n"
-      "              append to --log FILE, rebuild the boundary; or\n"
-      "              --resume FILE for the checkpointed runner (--flush-every N,\n"
-      "              --sandbox 0|1, --timeout-ms MS watchdog; sandboxing is\n"
-      "              required for hazard kernels).  --workers N runs the\n"
-      "              persistent worker-pool supervisor instead (heartbeats,\n"
-      "              respawn, --quarantine-after K site quarantine).\n"
-      "              --snapshot serves experiments from copy-on-write\n"
-      "              fork-server checkpoints (--snapshot-every I dynamic\n"
-      "              instructions, default 4096); implies the supervisor.\n"
-      "              Without --log/--resume: one-shot campaign, nothing\n"
-      "              persisted (--batch N, --chunk N, same isolation flags).\n"
+      "  campaign    --resume FILE: checkpointed campaign of --batch N ids,\n"
+      "              journal flushed every --flush-every N; re-running the\n"
+      "              same command finishes an interrupted run.  --log FILE:\n"
+      "              the same runner, but each call samples --batch more ids\n"
+      "              into the journal and rebuilds the boundary (--save\n"
+      "              FILE).  Neither: one-shot campaign, nothing persisted\n"
+      "              (--batch N, --chunk N).\n"
       "              --fault bitflip|burst|mem|memburst picks the fault\n"
       "              model (--burst-width K, default 2): burst = K\n"
       "              contiguous bits of a traced value, mem/memburst =\n"
@@ -907,8 +844,7 @@ int main(int argc, char** argv) {
       "              (fingerprint diff; only dirty sections re-run, --force\n"
       "              recomputes all).  --store-dir DIR holds per-section\n"
       "              journals; SIGTERM/SIGINT drains to resumable journals.\n"
-      "              Same isolation flags as campaign (--workers,\n"
-      "              --quarantine-after, --snapshot, --snapshot-every);\n"
+      "              Takes the backend flags;\n"
       "              --verify re-runs the union of the section id sets as\n"
       "              one monolithic campaign and reports agreement (the\n"
       "              composed boundary must be pointwise conservative);\n"
@@ -916,6 +852,17 @@ int main(int argc, char** argv) {
       "  report      per-phase vulnerability report (--load FILE)\n"
       "  protect     selective-protection plan (--load FILE, --budget F or\n"
       "              --target R)\n\n"
+      "backend     : --workers N (default 4), --quarantine-after K (default\n"
+      "              3), --sandbox 1, --timeout-ms MS (heartbeat and snapshot\n"
+      "              watchdog, default 2000), --snapshot 1 or --snapshot-every\n"
+      "              I: any of these runs infer --strategy adaptive, campaign\n"
+      "              and compose experiments in the crash-safe worker pool\n"
+      "              (heartbeats, respawn; an experiment that kills K workers\n"
+      "              is recorded as Crash with its signal, or as Hang).\n"
+      "              --snapshot serves them from copy-on-write fork-server\n"
+      "              checkpoints every I dynamic instructions (default 4096).\n"
+      "              Without any, experiments run in-process; hazard kernels\n"
+      "              need the pool\n"
       "common flags: --kernel K  --preset tiny|default|paper  --seed S\n"
       "              kernel names accept decorations K[+tN][+det]: \"+tN\"\n"
       "              = deterministic N-thread variant (cg, spmv,\n"
