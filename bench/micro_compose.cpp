@@ -61,7 +61,8 @@ struct ComposeFixture {
     options.kernel = kernel;
     options.preset = "tiny";
     options.carve = carve();
-    options.pool = const_cast<util::ThreadPool*>(&pool);
+    options.checkpoint.flush_every = 256;
+    options.checkpoint.pool = const_cast<util::ThreadPool*>(&pool);
     return options;
   }
 

@@ -10,6 +10,31 @@
 
 namespace ftb::campaign {
 
+namespace {
+
+/// The default source: every chunk on the runner's own backend, in order.
+class LocalChunks final : public ChunkSource {
+ public:
+  void start(std::span<const std::span<const ExperimentId>> chunks,
+             const SupervisorOptions&, ChunkRunner run_local) override {
+    chunks_ = chunks;
+    run_local_ = std::move(run_local);
+  }
+
+  std::optional<std::vector<ExperimentRecord>> next(
+      const std::function<bool()>& should_stop) override {
+    if (next_ == chunks_.size() || should_stop()) return std::nullopt;
+    return run_local_(chunks_[next_++]);
+  }
+
+ private:
+  std::span<const std::span<const ExperimentId>> chunks_;
+  ChunkRunner run_local_;
+  std::size_t next_ = 0;
+};
+
+}  // namespace
+
 CheckpointRunResult run_campaign_checkpointed(
     const fi::Program& program, const fi::GoldenRun& golden,
     std::span<const ExperimentId> ids, const CheckpointOptions& options) {
@@ -55,31 +80,58 @@ CheckpointRunResult run_campaign_checkpointed(
   }
   result.skipped = ids.size() - remaining.size();
 
+  // Chunks of the ids still owed, in order; every source takes these.
+  std::vector<std::span<const ExperimentId>> chunks;
+  for (std::size_t begin = 0; begin < remaining.size(); begin += flush_every) {
+    chunks.emplace_back(remaining.data() + begin,
+                        std::min(flush_every, remaining.size() - begin));
+  }
+
+  SupervisorOptions supervisor_options = options.supervisor;
+  if (supervisor_options.telemetry == nullptr) {
+    supervisor_options.telemetry = options.telemetry;
+  }
   util::ThreadPool& pool =
       options.pool != nullptr ? *options.pool : util::default_pool();
-
-  // One supervisor for the whole invocation: the worker pool is forked
-  // once, and the quarantine ledger accumulates across chunks.
+  // One supervisor for the whole invocation, forked at the first chunk this
+  // runner executes itself: the worker pool is forked once, and the
+  // quarantine ledger accumulates across chunks.
   std::optional<CampaignSupervisor> supervisor;
-  if (options.use_supervisor) {
-    SupervisorOptions supervisor_options = options.supervisor;
-    if (supervisor_options.telemetry == nullptr) {
-      supervisor_options.telemetry = options.telemetry;
+  const ChunkRunner run_local = [&](std::span<const ExperimentId> chunk) {
+    telemetry::SpanScope span(options.telemetry, "checkpoint.chunk",
+                              "checkpoint");
+    span.arg("experiments", static_cast<double>(chunk.size()));
+    if (!options.use_supervisor) {
+      return run_experiments(program, golden, chunk, pool);
     }
-    // Density hints for snapshot placement: the ids still owed are exactly
-    // where this invocation will fork, so hand their sites to
-    // plan_checkpoints (fi/snapshot.h).  Placement is a speed knob only --
-    // journal bytes are identical wherever the checkpoints land.
-    if (supervisor_options.pool.use_snapshots &&
-        supervisor_options.pool.snapshot.site_hints.empty()) {
-      auto& hints = supervisor_options.pool.snapshot.site_hints;
-      hints.reserve(remaining.size());
-      for (ExperimentId id : remaining) {
-        if (is_classic(id)) hints.push_back(site_of(id));
+    if (!supervisor) {
+      // Density hints for snapshot placement: the ids still owed are
+      // exactly where this invocation will fork, so hand their sites to
+      // plan_checkpoints (fi/snapshot.h).  Placement is a speed knob only
+      // -- journal bytes are identical wherever the checkpoints land.
+      SupervisorOptions local = supervisor_options;
+      if (local.pool.use_snapshots && local.pool.snapshot.site_hints.empty()) {
+        auto& hints = local.pool.snapshot.site_hints;
+        hints.reserve(remaining.size());
+        for (ExperimentId id : remaining) {
+          if (is_classic(id)) hints.push_back(site_of(id));
+        }
       }
+      supervisor.emplace(program, golden, local);
     }
-    supervisor.emplace(program, golden, supervisor_options);
-  }
+    return supervisor->run(chunk);
+  };
+
+  LocalChunks local_chunks;
+  ChunkSource& source =
+      options.chunk_source != nullptr ? *options.chunk_source : local_chunks;
+
+  const auto stats = [&] {
+    SupervisorStats current;
+    if (supervisor) current = supervisor->stats();
+    source.add_stats(current);
+    return current;
+  };
 
   const auto flush = [&] {
     telemetry::SpanScope span(options.telemetry, "checkpoint.flush",
@@ -96,6 +148,8 @@ CheckpointRunResult run_campaign_checkpointed(
     }
   };
 
+  const bool report_stats =
+      options.use_supervisor || options.chunk_source != nullptr;
   const auto report = [&](std::span<const ExperimentRecord> chunk) {
     if (!options.on_progress) return;
     CheckpointProgress progress;
@@ -104,45 +158,46 @@ CheckpointRunResult run_campaign_checkpointed(
     progress.logged = result.log.size();
     progress.chunk = chunk;
     SupervisorStats stats_copy;
-    if (supervisor) {
-      stats_copy = supervisor->stats();
+    if (report_stats) {
+      stats_copy = stats();
       progress.supervisor = &stats_copy;
     }
     options.on_progress(progress);
   };
 
-  for (std::size_t begin = 0; begin < remaining.size(); begin += flush_every) {
-    if (options.should_stop && options.should_stop()) {
-      result.stopped = true;
-      break;
+  const std::function<bool()> should_stop = [&] {
+    return options.should_stop && options.should_stop();
+  };
+
+  source.start(chunks, supervisor_options, run_local);
+  std::size_t returned = 0;
+  try {
+    // Every finished chunk is merged and flushed, even on the way out of a
+    // stop: completed work is durable work.
+    while (std::optional<std::vector<ExperimentRecord>> batch =
+               source.next(should_stop)) {
+      ++returned;
+      result.log.append(*batch);
+      result.executed += batch->size();
+      if (telemetry::active(options.telemetry)) {
+        options.telemetry->metrics()
+            .counter("checkpoint.experiments")
+            .add(batch->size());
+      }
+      flush();
+      report(*batch);
     }
-    const std::size_t end = std::min(begin + flush_every, remaining.size());
-    const std::span<const ExperimentId> chunk(remaining.data() + begin,
-                                              end - begin);
-    telemetry::SpanScope chunk_span(options.telemetry, "checkpoint.chunk",
-                                    "checkpoint");
-    chunk_span.arg("experiments", static_cast<double>(chunk.size()));
-    std::vector<ExperimentRecord> batch;
-    if (supervisor) {
-      batch = supervisor->run(chunk);
-    } else {
-      batch = run_experiments(program, golden, chunk, pool);
-    }
-    result.log.append(batch);
-    result.executed += batch.size();
-    if (telemetry::active(options.telemetry)) {
-      options.telemetry->metrics()
-          .counter("checkpoint.experiments")
-          .add(batch.size());
-    }
-    flush();
-    report(batch);
+  } catch (...) {
+    source.finish();
+    throw;
   }
+  source.finish();
+  result.stopped = returned < chunks.size();
 
   result.log.dedupe();
   flush();  // final flush persists the deduped journal (complete or drained)
   report({});
-  if (supervisor) result.supervisor_stats = supervisor->stats();
+  if (report_stats) result.supervisor_stats = stats();
   return result;
 }
 

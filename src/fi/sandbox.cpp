@@ -247,12 +247,25 @@ struct WorkerPool::Impl {
   WorkerPoolStats stats;
   std::vector<Slot> slots;
   bool shut_down = false;
+  /// How long a busy worker's heartbeat may stall before it is presumed
+  /// hung (0: never).  A worker serving from a snapshot tree stalls for the
+  /// tree's own watchdog on a spinning experiment, which then records it as
+  /// one Hang; the heartbeat outlasts that watchdog instead of racing it
+  /// (a lost race costs a kill, a respawn and a tree rebuild per retry).
+  std::uint32_t stall_timeout_ms = 0;
 
   Impl(const Program& program_in, const GoldenRun& golden_in,
        WorkerPoolOptions options_in)
       : program(program_in),
         golden(golden_in),
-        options(std::move(options_in)) {
+        options(std::move(options_in)),
+        stall_timeout_ms(options.heartbeat_timeout_ms) {
+    if (stall_timeout_ms != 0 && options.use_snapshots &&
+        snapshot_safe(program)) {
+      stall_timeout_ms += options.snapshot.timeout_ms != 0
+                              ? options.snapshot.timeout_ms
+                              : kDefaultSnapshotTimeoutMs;
+    }
     if (options.workers < 0) options.workers = 0;
     if (options.chunk_capacity == 0) options.chunk_capacity = 1;
     slots = std::vector<Slot>(static_cast<std::size_t>(options.workers));
@@ -530,9 +543,9 @@ struct WorkerPool::Impl {
           }
           slot.last_beat_tele_ns = tele_now;
         }
-      } else if (options.heartbeat_timeout_ms != 0 &&
-                 now - slot.last_beat_time > std::chrono::milliseconds(
-                                                 options.heartbeat_timeout_ms)) {
+      } else if (stall_timeout_ms != 0 &&
+                 now - slot.last_beat_time >
+                     std::chrono::milliseconds(stall_timeout_ms)) {
         ::kill(slot.pid, SIGKILL);
         ::waitpid(slot.pid, &status, 0);
         // The worker may have finished the chunk, died on a fault's signal, or exited on its own between

@@ -63,7 +63,9 @@ struct WorkerPoolOptions {
   /// presumed hung, SIGKILLed, and reported as a kWorkerHang event.  The
   /// heartbeat advances when a chunk is picked up and when an experiment
   /// starts or finishes, so the budget is per experiment, not per chunk.
-  /// 0 disables hang detection.
+  /// A worker serving from a snapshot tree gets the tree's watchdog
+  /// (snapshot.timeout_ms) on top, so the tree, not the heartbeat,
+  /// classifies a spinning experiment.  0 disables hang detection.
   std::uint32_t heartbeat_timeout_ms = 2000;
 
   /// Backoff policy for fork/mmap, applied per spawn or respawn attempt.

@@ -387,7 +387,8 @@ void holder_loop(TreeContext& ctx, Tracer& tracer, std::size_t slot,
     // fork.  This mirrors the worker pool's per-experiment heartbeat budget
     // (the pool beats only at experiment start/finish too).
     std::uint32_t budget_ms =
-        ctx.options->timeout_ms != 0 ? ctx.options->timeout_ms : 2000;
+        ctx.options->timeout_ms != 0 ? ctx.options->timeout_ms
+                                     : kDefaultSnapshotTimeoutMs;
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(budget_ms);
     int status = 0;
@@ -557,7 +558,7 @@ struct SnapshotServer::Impl {
         golden(golden_in),
         options(options_in),
         safe(snapshot_safe(program_in)) {
-    if (options.timeout_ms == 0) options.timeout_ms = 2000;
+    if (options.timeout_ms == 0) options.timeout_ms = kDefaultSnapshotTimeoutMs;
     rebuilds_left = std::max(options.max_rebuilds, 0);
     if (safe) build();
   }

@@ -57,6 +57,10 @@
 
 namespace ftb::fi {
 
+/// The holder's per-experiment watchdog when SnapshotOptions::timeout_ms
+/// is 0.
+inline constexpr std::uint32_t kDefaultSnapshotTimeoutMs = 2000;
+
 struct SnapshotOptions {
   /// Checkpoint cadence in dynamic instructions.  Phase edges are always
   /// checkpointed too (see include_phase_edges); the pre-run checkpoint at
@@ -72,8 +76,9 @@ struct SnapshotOptions {
 
   /// Per-experiment watchdog applied by the holder, measured from the
   /// experiment child's fork.  0 is not honoured here: campaign-driven runs
-  /// must always have a deadline, so 0 falls back to 2000 ms.
-  std::uint32_t timeout_ms = 2000;
+  /// must always have a deadline, so 0 falls back to
+  /// kDefaultSnapshotTimeoutMs.
+  std::uint32_t timeout_ms = kDefaultSnapshotTimeoutMs;
 
   /// Holder poll cadence while an experiment child runs.
   std::uint32_t poll_interval_us = 200;

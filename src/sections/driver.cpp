@@ -7,6 +7,7 @@
 
 #include "boundary/accumulator.h"
 #include "campaign/campaign.h"
+#include "telemetry/events.h"
 
 namespace ftb::sections {
 
@@ -74,8 +75,9 @@ SectionRecord build_section_record(const fi::Program& program,
   const std::uint64_t exit_begin =
       spec.end - std::min<std::uint64_t>(window, spec.size());
   double exit_bound = 0.0;
-  util::ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : util::default_pool();
+  util::ThreadPool& pool = options.checkpoint.pool != nullptr
+                               ? *options.checkpoint.pool
+                               : util::default_pool();
   campaign::accumulate_records(
       program, golden, log.records(), accumulator, pool,
       [&](const campaign::ExperimentRecord&, std::span<const double> diffs) {
@@ -127,7 +129,7 @@ SectionCampaignResult run_section_campaigns(
   result.artifact.total_sites = plan.total_sites;
 
   for (const SectionSpec& spec : plan.sections) {
-    if (options.should_stop && options.should_stop()) {
+    if (options.checkpoint.should_stop && options.checkpoint.should_stop()) {
       result.stopped = true;
       break;
     }
@@ -138,8 +140,10 @@ SectionCampaignResult run_section_campaigns(
         prev->spec.fingerprint == spec.fingerprint) {
       result.artifact.sections.push_back(*prev);
       result.reused.push_back(spec.name);
-      if (telemetry::active(options.telemetry)) {
-        options.telemetry->metrics().counter("sections.reused").add();
+      if (telemetry::active(options.checkpoint.telemetry)) {
+        options.checkpoint.telemetry->metrics()
+            .counter("sections.reused")
+            .add();
       }
       continue;
     }
@@ -147,44 +151,33 @@ SectionCampaignResult run_section_campaigns(
     const std::vector<campaign::ExperimentId> ids =
         section_sample_ids(spec, plan.seed);
     const std::string path = journal_path(options, spec.name);
-    discard_stale_journal(path, config_key, ids, options.telemetry);
+    discard_stale_journal(path, config_key, ids, options.checkpoint.telemetry);
 
-    SectionRunOutcome outcome;
-    if (options.section_runner) {
-      outcome = options.section_runner(spec, ids, path);
-    } else {
-      campaign::CheckpointOptions checkpoint;
-      checkpoint.path = path;
-      checkpoint.flush_every = options.flush_every;
-      checkpoint.use_supervisor = options.use_supervisor;
-      checkpoint.supervisor = options.supervisor;
-      checkpoint.pool = options.pool;
-      checkpoint.telemetry = options.telemetry;
-      checkpoint.should_stop = options.should_stop;
-      if (options.on_progress) {
-        checkpoint.on_progress =
-            [&](const campaign::CheckpointProgress& progress) {
-              options.on_progress(spec.name, progress);
-            };
-      }
-      campaign::CheckpointRunResult run =
-          campaign::run_campaign_checkpointed(program, golden, ids, checkpoint);
-      outcome.log = std::move(run.log);
-      outcome.executed = run.executed;
-      outcome.stopped = run.stopped;
+    campaign::CheckpointOptions checkpoint = options.checkpoint;
+    checkpoint.path = path;
+    checkpoint.on_progress = nullptr;
+    if (options.on_progress) {
+      checkpoint.on_progress =
+          [&](const campaign::CheckpointProgress& progress) {
+            options.on_progress(spec.name, progress);
+          };
     }
-    result.executed += outcome.executed;
-    if (outcome.stopped) {
+    const campaign::CheckpointRunResult run =
+        campaign::run_campaign_checkpointed(program, golden, ids, checkpoint);
+    result.executed += run.executed;
+    if (run.stopped) {
       result.stopped = true;
       break;
     }
 
     result.artifact.sections.push_back(build_section_record(
-        program, golden, spec, outcome.log,
-        options.stem + "." + spec.name, options));
+        program, golden, spec, run.log, options.stem + "." + spec.name,
+        options));
     result.dirty.push_back(spec.name);
-    if (telemetry::active(options.telemetry)) {
-      options.telemetry->metrics().counter("sections.recomputed").add();
+    if (telemetry::active(options.checkpoint.telemetry)) {
+      options.checkpoint.telemetry->metrics()
+          .counter("sections.recomputed")
+          .add();
     }
   }
   return result;

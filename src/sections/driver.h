@@ -2,13 +2,16 @@
 //
 // One invocation carves the golden run into sections, diffs their
 // fingerprints against a previous composed artifact, re-campaigns only the
-// dirty sections (each through the existing checkpointed runner, so a
-// section campaign inherits journal resume, supervisor isolation, snapshot
-// serving, and SIGTERM drain), splices clean sections' stored evidence
-// verbatim, and assembles a fresh ComposedArtifact.  Experiment outcomes
+// dirty sections, splices clean sections' stored evidence verbatim, and
+// assembles a fresh ComposedArtifact.  Experiment outcomes
 // are deterministic, so an incremental splice serializes byte-identically
 // to a full recompose -- that is the invariant the CI compose job and the
 // chaos tests pin.
+//
+// Each dirty section is one run_campaign_checkpointed call with the
+// embedded CheckpointOptions, so a section campaign inherits journal
+// resume, supervisor isolation, snapshot serving and SIGTERM drain -- and,
+// when ftb_served sets a chunk source, remote execution on ftb_workerd.
 #pragma once
 
 #include <cstdint>
@@ -22,25 +25,8 @@
 #include "campaign/log.h"
 #include "sections/compose.h"
 #include "sections/section.h"
-#include "telemetry/events.h"
-#include "util/thread_pool.h"
 
 namespace ftb::sections {
-
-/// What a SectionRunner hands back for one section's campaign.
-struct SectionRunOutcome {
-  campaign::CampaignLog log;
-  std::uint64_t executed = 0;
-  bool stopped = false;  // drained mid-section; journal is resumable
-};
-
-/// Hook that executes one dirty section's experiments, journaling into
-/// `journal_path` exactly like run_campaign_checkpointed (the service
-/// routes this through its ChunkDispatcher so sections fan out to
-/// ftb_workerd workers).  Unset -> the driver runs locally.
-using SectionRunner = std::function<SectionRunOutcome(
-    const SectionSpec& spec, std::span<const campaign::ExperimentId> ids,
-    const std::string& journal_path)>;
 
 struct SectionCampaignOptions {
   /// Directory for per-section journals ("<stem>.<section>.clog").
@@ -52,25 +38,22 @@ struct SectionCampaignOptions {
   std::string kernel;
   std::string preset;
   CarveOptions carve;
-  std::size_t flush_every = 256;
   /// Treat every section as dirty regardless of fingerprints.
   bool force = false;
-  bool use_supervisor = false;
-  campaign::SupervisorOptions supervisor;
+  /// How each dirty section's campaign runs: chunk size, backend, chunk
+  /// source, thread pool (also used by the evidence pass), telemetry, and
+  /// should_stop (also polled between sections; leaves resumable
+  /// journals).  The driver sets `path` and `on_progress` per section.
+  campaign::CheckpointOptions checkpoint;
   /// Boundary accumulation (Section 3.5 filter) for the evidence pass.
   bool filter = true;
   /// Sites of the exit window (where the section's outgoing error bound is
   /// measured) and the entry window (where its incoming tolerance is read).
   std::uint64_t edge_window = 16;
-  util::ThreadPool* pool = nullptr;
-  telemetry::Telemetry* telemetry = nullptr;
-  /// Polled between sections and between chunks; leaves resumable journals.
-  std::function<bool()> should_stop;
   /// Streamed per flush of whichever section is running.
   std::function<void(const std::string& section,
                      const campaign::CheckpointProgress&)>
       on_progress;
-  SectionRunner section_runner;
 };
 
 struct SectionCampaignResult {

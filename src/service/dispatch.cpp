@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -33,6 +32,24 @@ void erase_value(std::vector<std::uint64_t>& v, std::uint64_t x) {
 }
 
 }  // namespace
+
+campaign::SupervisorOptions daemon_supervisor(
+    std::uint32_t workers, std::uint32_t timeout_ms,
+    std::uint32_t quarantine_after, bool use_snapshots,
+    std::uint64_t snapshot_interval, telemetry::Telemetry* telemetry) {
+  campaign::SupervisorOptions supervisor;
+  supervisor.pool.workers =
+      static_cast<int>(std::clamp<std::uint32_t>(workers, 1, 16));
+  supervisor.pool.heartbeat_timeout_ms =
+      timeout_ms != 0 ? timeout_ms : campaign::kFallbackDeadlineMs;
+  supervisor.pool.use_snapshots = use_snapshots;
+  supervisor.pool.snapshot.interval = snapshot_interval;
+  supervisor.pool.snapshot.timeout_ms = supervisor.pool.heartbeat_timeout_ms;
+  supervisor.quarantine_after = static_cast<int>(quarantine_after);
+  supervisor.telemetry = telemetry;
+  supervisor.allow_in_process_fallback = false;
+  return supervisor;
+}
 
 ChunkDispatcher::ChunkDispatcher(DispatchOptions options)
     : options_(std::move(options)), jitter_(options_.jitter_seed) {}
@@ -89,10 +106,7 @@ void ChunkDispatcher::requeue_chunk_locked(Chunk& chunk, std::uint64_t loser) {
   chunk.state = Chunk::State::kPending;
   chunk.first_leased_ns = 0;
   chunk.speculated = false;
-  if (job_.active) {
-    ++job_.stats.chunks_requeued;
-    job_.stats.experiments_requeued += chunk.ids.size();
-  }
+  job_.stats.requeued += chunk.ids.size();
   count("dispatch.chunks_requeued");
 }
 
@@ -101,7 +115,6 @@ void ChunkDispatcher::expire_worker_locked(Worker& worker) {
   worker.leased.clear();
   for (const std::uint64_t seq : leased) {
     if (!job_.active || seq >= job_.chunks.size()) continue;
-    if (job_.active) ++job_.stats.leases_expired;
     count("dispatch.leases_expired");
     requeue_chunk_locked(job_.chunks[seq], worker.id);
   }
@@ -125,7 +138,7 @@ bool ChunkDispatcher::worker_may_take_locked(const Worker& worker,
 }
 
 void ChunkDispatcher::dispatch_locked(std::uint64_t now_ns) {
-  if (!job_.active || !sender_) return;
+  if (!job_.active || job_.stopping || !sender_) return;
   for (auto& [id, worker] : workers_) {
     if (worker.stale || worker.quarantined_until_ns > now_ns) continue;
     while (worker.leased.size() < worker.capacity) {
@@ -143,7 +156,6 @@ void ChunkDispatcher::dispatch_locked(std::uint64_t now_ns) {
         pick->first_leased_ns = now_ns;
       }
       worker.leased.push_back(pick->seq);
-      ++job_.stats.leases_granted;
       count("dispatch.leases_granted");
       WorkerChunk msg;
       msg.job = job_.id;
@@ -233,13 +245,11 @@ void ChunkDispatcher::handle_result(std::uint64_t conn,
         result.chunk >= job_.chunks.size()) {
       // The job drained, finished, or never existed; the work is wasted but
       // harmless -- nothing merges.
-      if (job_.active) ++job_.stats.stale_results;
       count("dispatch.stale_results");
       return;
     }
     Chunk& chunk = job_.chunks[result.chunk];
     if (!result.ok) {
-      ++job_.stats.chunk_failures;
       count("dispatch.chunk_failures");
       const std::uint64_t t = now();
       // Per-(worker,chunk) grudge: this worker must sit out a jittered
@@ -254,7 +264,6 @@ void ChunkDispatcher::handle_result(std::uint64_t conn,
             t + jittered_backoff_locked(worker->kills -
                                         options_.worker_quarantine_after +
                                         1);
-        ++job_.stats.worker_quarantines;
         count("dispatch.worker_quarantines");
       }
       requeue_chunk_locked(chunk, worker->id);
@@ -262,7 +271,6 @@ void ChunkDispatcher::handle_result(std::uint64_t conn,
     } else {
       if (chunk.state == Chunk::State::kDone) {
         // A speculative twin (or a SIGCONTed straggler) lost the race.
-        ++job_.stats.duplicate_results;
         count("dispatch.duplicate_results");
         return;
       }
@@ -280,7 +288,6 @@ void ChunkDispatcher::handle_result(std::uint64_t conn,
         }
       }
       if (!coherent) {
-        ++job_.stats.chunk_failures;
         count("dispatch.incoherent_results");
         requeue_chunk_locked(chunk, worker->id);
         dispatch_locked(now());
@@ -290,11 +297,10 @@ void ChunkDispatcher::handle_result(std::uint64_t conn,
         release_holders_locked(chunk);
         ++job_.done;
         job_.completed.push_back(result.chunk);
-        ++job_.stats.remote_chunks;
-        job_.stats.remote_worker_deaths += result.worker_deaths;
-        job_.stats.remote_worker_hangs += result.worker_hangs;
-        job_.stats.remote_requeued += result.requeued;
-        job_.stats.remote_quarantined += result.quarantined;
+        job_.stats.worker_deaths += result.worker_deaths;
+        job_.stats.worker_hangs += result.worker_hangs;
+        job_.stats.requeued += result.requeued;
+        job_.stats.quarantined += result.quarantined;
         count("dispatch.chunks_remote");
         worker->kills = 0;
         dispatch_locked(now());
@@ -315,7 +321,6 @@ void ChunkDispatcher::handle_disconnect(std::uint64_t conn) {
       workers_.erase(worker);
     }
     by_conn_.erase(it);
-    if (job_.active) ++job_.stats.workers_lost;
     count("dispatch.workers_lost");
     if (telemetry::active(options_.telemetry)) {
       options_.telemetry->metrics().gauge("dispatch.workers").set(
@@ -352,7 +357,6 @@ void ChunkDispatcher::on_tick() {
             chunk.first_leased_ns != 0 &&
             t - chunk.first_leased_ns > straggler_ns) {
           chunk.speculated = true;
-          ++job_.stats.chunks_speculated;
           count("dispatch.chunks_speculated");
           notify = true;  // the local runner may steal it
         }
@@ -403,105 +407,53 @@ ChunkDispatcher::claim_local_chunk() {
   return std::make_pair(pick->seq, pick->ids);
 }
 
-bool ChunkDispatcher::complete_local_chunk(
+void ChunkDispatcher::complete_local_chunk(
     std::uint64_t seq, std::vector<campaign::ExperimentRecord> records) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!job_.active || seq >= job_.chunks.size()) return false;
+  if (!job_.active || seq >= job_.chunks.size()) return;
   Chunk& chunk = job_.chunks[seq];
   if (chunk.state == Chunk::State::kDone) {
-    ++job_.stats.duplicate_results;
     count("dispatch.duplicate_results");
-    return false;
+    return;
   }
   chunk.records = std::move(records);
   chunk.state = Chunk::State::kDone;
   release_holders_locked(chunk);
   ++job_.done;
   job_.completed.push_back(seq);
-  ++job_.stats.local_chunks;
   count("dispatch.chunks_local");
-  return true;
 }
 
-std::optional<std::pair<std::uint64_t, std::vector<campaign::ExperimentRecord>>>
-ChunkDispatcher::pop_completed() {
+void ChunkDispatcher::set_program(std::string kernel, std::string preset) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!job_.active || job_.completed.empty()) return std::nullopt;
-  const std::size_t index = job_.completed.front();
-  job_.completed.pop_front();
-  return std::make_pair(static_cast<std::uint64_t>(index),
-                        std::move(job_.chunks[index].records));
+  kernel_ = std::move(kernel);
+  preset_ = std::move(preset);
 }
 
-DistributedRunResult ChunkDispatcher::run_job(
-    const fi::Program& program, const fi::GoldenRun& golden,
-    std::span<const campaign::ExperimentId> ids,
-    const DistributedJobOptions& options) {
-  if (options.path.empty()) {
-    throw std::invalid_argument("run_job: journal path is empty");
-  }
-  const std::size_t flush_every =
-      std::max<std::size_t>(1, options.flush_every);
-  const std::string config_key = program.config_key();
-
-  DistributedRunResult result;
-  std::error_code ec;
-  if (std::filesystem::exists(options.path, ec)) {
-    std::string error;
-    auto journal = campaign::CampaignLog::load(options.path, &error);
-    if (!journal) {
-      throw std::runtime_error("run_job: " + error);
-    }
-    if (journal->config_key() != config_key) {
-      throw std::invalid_argument("run_job: journal '" + options.path +
-                                  "' belongs to configuration '" +
-                                  journal->config_key() + "', not '" +
-                                  config_key + "'");
-    }
-    result.log = std::move(*journal);
-    result.resumed = true;
-  } else {
-    result.log = campaign::CampaignLog(config_key);
-  }
-
-  std::unordered_set<campaign::ExperimentId> done_ids;
-  done_ids.reserve(result.log.size());
-  for (const campaign::ExperimentRecord& record : result.log.records()) {
-    done_ids.insert(record.id);
-  }
-  std::vector<campaign::ExperimentId> remaining;
-  remaining.reserve(ids.size());
-  for (const campaign::ExperimentId id : ids) {
-    if (done_ids.count(id) == 0) remaining.push_back(id);
-  }
-  result.skipped = ids.size() - remaining.size();
-
-  telemetry::SpanScope span(options.telemetry, "dispatch.job", "dispatch");
-  span.arg("chunks", static_cast<double>(
-                         (remaining.size() + flush_every - 1) / flush_every));
-
+void ChunkDispatcher::start(
+    std::span<const std::span<const campaign::ExperimentId>> chunks,
+    const campaign::SupervisorOptions& supervisor,
+    campaign::ChunkRunner run_local) {
   std::function<void()> waker;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (job_.active) {
-      throw std::logic_error("run_job: a distributed job is already active");
+      throw std::logic_error("ChunkDispatcher: a job is already active");
     }
     job_ = Job{};
     job_.active = true;
     job_.id = ++job_counter_;
-    job_.kernel = options.kernel;
-    job_.preset = options.preset;
-    job_.pool_workers = options.pool_workers;
-    job_.timeout_ms = options.timeout_ms;
-    job_.quarantine_after = options.quarantine_after;
-    for (std::size_t begin = 0; begin < remaining.size();
-         begin += flush_every) {
-      const std::size_t end =
-          std::min(begin + flush_every, remaining.size());
+    job_.kernel = kernel_;
+    job_.preset = preset_;
+    // Workers run their chunks under the runner's own pool settings.
+    job_.pool_workers = static_cast<std::uint32_t>(supervisor.pool.workers);
+    job_.timeout_ms = supervisor.pool.heartbeat_timeout_ms;
+    job_.quarantine_after =
+        static_cast<std::uint32_t>(supervisor.quarantine_after);
+    for (const std::span<const campaign::ExperimentId> ids : chunks) {
       Chunk chunk;
       chunk.seq = job_.chunks.size();
-      chunk.ids.assign(remaining.begin() + static_cast<std::ptrdiff_t>(begin),
-                       remaining.begin() + static_cast<std::ptrdiff_t>(end));
+      chunk.ids.assign(ids.begin(), ids.end());
       job_.chunks.push_back(std::move(chunk));
     }
     // Grudges and kill streaks are job-scoped (chunk seqs restart at 0).
@@ -511,150 +463,68 @@ DistributedRunResult ChunkDispatcher::run_job(
     }
     waker = waker_;
   }
+  run_local_ = std::move(run_local);
+  job_span_.emplace(options_.telemetry, "dispatch.job", "dispatch");
+  job_span_->arg("chunks", static_cast<double>(chunks.size()));
   if (waker) waker();  // let the event loop start dispatching immediately
+}
 
-  // Local co-execution: the runner thread doubles as one more worker, so
-  // zero live workers degrades to exactly the local supervisor path.  The
-  // supervisor forks lazily -- a fully-remote job never pays for a pool.
-  std::optional<campaign::CampaignSupervisor> local;
-  const auto local_supervisor = [&]() -> campaign::CampaignSupervisor& {
-    if (!local) {
-      campaign::SupervisorOptions supervisor = options.supervisor;
-      if (supervisor.telemetry == nullptr) {
-        supervisor.telemetry = options.telemetry;
+std::optional<std::vector<campaign::ExperimentRecord>> ChunkDispatcher::next(
+    const std::function<bool()>& should_stop) {
+  for (;;) {
+    const bool stopping = should_stop();
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      // A stopping job leases nothing new; chunks already out may still
+      // land while the finished ones are handed back.
+      job_.stopping = job_.stopping || stopping;
+      if (!job_.completed.empty()) {
+        const std::size_t index = job_.completed.front();
+        job_.completed.pop_front();
+        return std::move(job_.chunks[index].records);
       }
-      local.emplace(program, golden, supervisor);
+      if (job_.stopping || job_.done == job_.chunks.size()) {
+        return std::nullopt;
+      }
     }
-    return *local;
-  };
-
-  const auto flush = [&] {
-    telemetry::SpanScope flush_span(options.telemetry, "checkpoint.flush",
-                                    "checkpoint");
-    flush_span.arg("records", static_cast<double>(result.log.size()));
-    if (!result.log.save(options.path)) {
-      throw std::runtime_error("run_job: cannot write journal '" +
-                               options.path + "'");
+    // Nothing finished to hand back: the runner thread doubles as one more
+    // worker, so zero live workers degrades to the local supervisor path.
+    if (auto claim = claim_local_chunk()) {
+      complete_local_chunk(claim->first, run_local_(claim->second));
+      continue;
     }
-    ++result.flushes;
-    if (telemetry::active(options.telemetry)) {
-      options.telemetry->metrics().counter("checkpoint.flushes").add();
-    }
-  };
-
-  const auto combined_stats = [&] {
-    campaign::SupervisorStats stats;
-    if (local) stats = local->stats();
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats.worker_deaths += job_.stats.remote_worker_deaths;
-    stats.worker_hangs += job_.stats.remote_worker_hangs;
-    stats.experiments_requeued +=
-        job_.stats.remote_requeued + job_.stats.experiments_requeued;
-    stats.quarantined += job_.stats.remote_quarantined;
-    return stats;
-  };
-
-  const auto report = [&](std::span<const campaign::ExperimentRecord> chunk) {
-    if (!options.on_progress) return;
-    campaign::CheckpointProgress progress;
-    progress.executed = result.executed;
-    progress.total = remaining.size();
-    progress.logged = result.log.size();
-    progress.chunk = chunk;
-    const campaign::SupervisorStats stats_copy = combined_stats();
-    progress.supervisor = &stats_copy;
-    options.on_progress(progress);
-  };
-
-  bool stop_requested = false;
-  try {
-    for (;;) {
-      if (!stop_requested && options.should_stop && options.should_stop()) {
-        stop_requested = true;
+    // Every chunk is leased remotely; wait for completions, requeues, or
+    // the drain flag (the timeout bounds should_stop latency).
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait_for(lock, std::chrono::milliseconds(50), [&] {
+      if (!job_.completed.empty()) return true;
+      if (job_.done == job_.chunks.size()) return true;
+      for (const Chunk& chunk : job_.chunks) {
+        if (chunk.state == Chunk::State::kPending) return true;
       }
-      // Merge every finished chunk -- even on the way out: completed work
-      // is durable work.
-      bool all_done = false;
-      while (auto completed = pop_completed()) {
-        std::vector<campaign::ExperimentRecord> fresh;
-        fresh.reserve(completed->second.size());
-        for (campaign::ExperimentRecord& record : completed->second) {
-          // Belt and braces: chunks are disjoint and have one winner, so
-          // this filter should never drop anything -- but a duplicate id
-          // must not reach the journal even if that invariant breaks.
-          if (done_ids.insert(record.id).second) {
-            fresh.push_back(std::move(record));
-          }
-        }
-        if (fresh.size() != completed->second.size()) {
-          count("dispatch.duplicate_records",
-                completed->second.size() - fresh.size());
-        }
-        result.executed += fresh.size();
-        if (telemetry::active(options.telemetry)) {
-          options.telemetry->metrics()
-              .counter("checkpoint.experiments")
-              .add(fresh.size());
-        }
-        result.log.append(fresh);
-        flush();
-        report(fresh);
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        all_done = job_.done == job_.chunks.size() && job_.completed.empty();
-      }
-      if (stop_requested || all_done) break;
-      if (auto claim = claim_local_chunk()) {
-        std::vector<campaign::ExperimentRecord> records =
-            local_supervisor().run(claim->second);
-        complete_local_chunk(claim->first, std::move(records));
-        continue;  // merge + flush on the next loop pass
-      }
-      // Every chunk is leased remotely; wait for completions, requeues, or
-      // the drain flag (the timeout bounds should_stop latency).
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait_for(lock, std::chrono::milliseconds(50), [&] {
-        if (!job_.active) return true;
-        if (!job_.completed.empty()) return true;
-        if (job_.done == job_.chunks.size()) return true;
-        for (const Chunk& chunk : job_.chunks) {
-          if (chunk.state == Chunk::State::kPending) return true;
-        }
-        return false;
-      });
-    }
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job_.active = false;
-    job_.chunks.clear();
-    job_.completed.clear();
-    for (auto& [id, worker] : workers_) worker.leased.clear();
-    throw;
+      return false;
+    });
   }
+}
 
+void ChunkDispatcher::finish() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    result.stopped = job_.done != job_.chunks.size();
-    result.dispatch = job_.stats;
     job_.active = false;
     job_.chunks.clear();
     job_.completed.clear();
-    // Outstanding remote leases die with the job; late results become
-    // stale_results and never merge.
     for (auto& [id, worker] : workers_) worker.leased.clear();
   }
+  run_local_ = nullptr;
+  job_span_.reset();
+}
 
-  result.log.dedupe();
-  flush();
-  report({});
-  if (local) result.supervisor_stats = local->stats();
-  result.supervisor_stats.worker_deaths += result.dispatch.remote_worker_deaths;
-  result.supervisor_stats.worker_hangs += result.dispatch.remote_worker_hangs;
-  result.supervisor_stats.experiments_requeued +=
-      result.dispatch.remote_requeued + result.dispatch.experiments_requeued;
-  result.supervisor_stats.quarantined += result.dispatch.remote_quarantined;
-  return result;
+void ChunkDispatcher::add_stats(campaign::SupervisorStats& stats) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  stats.worker_deaths += job_.stats.worker_deaths;
+  stats.worker_hangs += job_.stats.worker_hangs;
+  stats.experiments_requeued += job_.stats.requeued;
+  stats.quarantined += job_.stats.quarantined;
 }
 
 }  // namespace ftb::service

@@ -1,9 +1,12 @@
 // Lease-based chunk dispatcher: the campaign plane's distributed executor.
 //
 // ftb_workerd daemons connect to ftb_served on the ordinary wire protocol
-// and register with WorkerHello.  While a campaign job is active the
-// dispatcher splits the job's remaining experiment ids into journal-sized
-// chunks and hands them to workers under a TTL lease:
+// and register with WorkerHello.  ChunkDispatcher is a campaign::ChunkSource
+// (campaign/checkpoint.h): when a job runs with live workers, the job
+// runner hands it to run_campaign_checkpointed, which still owns the whole
+// journal -- load, resume, flush, progress, stop and dedupe.  The
+// dispatcher only decides where each chunk the runner still owes executes,
+// handing chunks to workers under a TTL lease:
 //
 //   * leases are renewed only by an *advance* of the worker's monotonic
 //     WorkerHeartbeat counter -- a SIGSTOPped worker whose kernel keeps the
@@ -18,22 +21,21 @@
 //     per-(worker,chunk) grudge with jittered exponential backoff before it
 //     may be offered that chunk again; repeated kills quarantine the whole
 //     worker for a jittered backoff window (re-admission is automatic);
-//   * with zero live workers the runner degrades to plain local execution:
-//     the job-runner thread itself claims pending chunks and runs them
-//     through the same CampaignSupervisor the non-distributed path uses, so
-//     ftb_served alone still completes every job.
+//   * the runner thread co-executes: whenever no finished chunk is waiting
+//     it claims a pending chunk and runs it on the runner's own supervisor
+//     (forked at the first such chunk, so a fully remote job never forks a
+//     pool), so losing every worker mid-job still finishes the job.
 //
-// Results merge into the same CRC-framed .clog journal as the local path,
-// flushed after every completed chunk on the runner thread (file I/O never
-// runs on the event loop).  Experiment outcomes are deterministic and the
-// final dedupe() sorts by id, so the finished journal -- and the boundary
-// inferred from it -- is byte-identical to a local-only run no matter which
-// worker executed what, how many leases expired, or where a kill -9 landed.
+// Finished chunks go back to the runner one at a time, in completion order;
+// experiment outcomes are deterministic and the final dedupe() sorts by id,
+// so the finished journal -- and the boundary inferred from it -- is
+// byte-identical to a local-only run no matter which worker executed what,
+// how many leases expired, or where a kill -9 landed.
 //
 // Threading: WorkerHello/Heartbeat/ChunkResult/disconnect/tick arrive on
-// the server's event-loop thread; run_job() executes on the job-runner
-// thread.  One mutex guards all shared state; the runner blocks on a
-// condition variable while remote chunks are in flight.
+// the server's event-loop thread; the ChunkSource calls run on the
+// job-runner thread.  One mutex guards all shared state; the runner blocks
+// on a condition variable while remote chunks are in flight.
 #pragma once
 
 #include <cstdint>
@@ -49,17 +51,27 @@
 #include <mutex>
 
 #include "campaign/checkpoint.h"
-#include "campaign/log.h"
 #include "campaign/sample_space.h"
 #include "campaign/supervisor.h"
-#include "fi/executor.h"
-#include "fi/program.h"
 #include "net/frame.h"
 #include "service/protocol.h"
 #include "telemetry/events.h"
 #include "util/rng.h"
 
 namespace ftb::service {
+
+/// The pool settings every daemon campaign runs under -- a job on
+/// ftb_served and a leased chunk on ftb_workerd alike: `workers` clamped to
+/// [1, 16]; timeout 0 replaced by kFallbackDeadlineMs, since a client must
+/// not be able to switch hang detection off on an unattended daemon; the
+/// snapshot trees' deadline equal to the heartbeat's; and no in-process
+/// fallback, since a hazard flip that escapes isolation could hang or kill
+/// the whole daemon -- a pool that degrades to nothing fails the one job or
+/// chunk instead.
+campaign::SupervisorOptions daemon_supervisor(
+    std::uint32_t workers, std::uint32_t timeout_ms,
+    std::uint32_t quarantine_after, bool use_snapshots,
+    std::uint64_t snapshot_interval, telemetry::Telemetry* telemetry);
 
 struct DispatchOptions {
   /// Heartbeat cadence advertised to workers in WorkerHelloOk.
@@ -90,56 +102,7 @@ struct DispatchOptions {
   std::function<std::uint64_t()> now_ns;
 };
 
-/// Per-job distributed-execution counters (dispatcher's view).
-struct DispatchStats {
-  std::uint64_t leases_granted = 0;
-  std::uint64_t leases_expired = 0;
-  std::uint64_t chunks_requeued = 0;     ///< chunk-level requeues (expiry/kill)
-  std::uint64_t chunks_speculated = 0;   ///< straggler re-dispatches
-  std::uint64_t experiments_requeued = 0;///< ids put back by those requeues
-  std::uint64_t duplicate_results = 0;   ///< losers of first-writer-wins
-  std::uint64_t stale_results = 0;       ///< results for no-longer-active jobs
-  std::uint64_t chunk_failures = 0;      ///< ok=false results
-  std::uint64_t worker_quarantines = 0;  ///< whole-worker backoff windows
-  std::uint64_t workers_lost = 0;        ///< disconnects while job active
-  std::uint64_t remote_chunks = 0;       ///< chunks won by a remote worker
-  std::uint64_t local_chunks = 0;        ///< chunks won by the local runner
-  // Folded from winning WorkerChunkResult frames:
-  std::uint64_t remote_worker_deaths = 0;
-  std::uint64_t remote_worker_hangs = 0;
-  std::uint64_t remote_requeued = 0;
-  std::uint64_t remote_quarantined = 0;
-};
-
-/// Config + hooks for one distributed job run; mirrors CheckpointOptions.
-struct DistributedJobOptions {
-  std::string path;              ///< journal file (same as the local path)
-  std::size_t flush_every = 512; ///< chunk size == flush cadence
-  std::string kernel;            ///< campaign config shipped to workers
-  std::string preset;
-  std::uint32_t pool_workers = 2;
-  std::uint32_t timeout_ms = 2000;
-  std::uint32_t quarantine_after = 3;
-  /// Local co-execution supervisor (zero-worker degradation and chunk
-  /// stealing run through this).
-  campaign::SupervisorOptions supervisor;
-  telemetry::Telemetry* telemetry = nullptr;
-  std::function<void(const campaign::CheckpointProgress&)> on_progress;
-  std::function<bool()> should_stop;
-};
-
-struct DistributedRunResult {
-  campaign::CampaignLog log;
-  bool resumed = false;
-  std::uint64_t skipped = 0;
-  std::uint64_t executed = 0;
-  std::uint64_t flushes = 0;
-  bool stopped = false;
-  campaign::SupervisorStats supervisor_stats;  ///< local co-exec + remote deltas
-  DispatchStats dispatch;
-};
-
-class ChunkDispatcher {
+class ChunkDispatcher final : public campaign::ChunkSource {
  public:
   explicit ChunkDispatcher(DispatchOptions options = {});
 
@@ -161,14 +124,21 @@ class ChunkDispatcher {
   std::size_t live_workers() const;
 
   // --- job-runner thread --------------------------------------------------
-  /// Runs (or resumes) the listed experiments across the connected workers
-  /// plus the calling thread, with per-chunk journal flushes.  Exactly one
-  /// job may be active at a time (the JobRunner is serial).  Throws like
-  /// run_campaign_checkpointed on journal problems.
-  DistributedRunResult run_job(const fi::Program& program,
-                               const fi::GoldenRun& golden,
-                               std::span<const campaign::ExperimentId> ids,
-                               const DistributedJobOptions& options);
+  /// Names the program the next job's workers rebuild (kernel@preset).
+  /// Call before handing the dispatcher to run_campaign_checkpointed.
+  void set_program(std::string kernel, std::string preset);
+
+  /// campaign::ChunkSource.  Exactly one job may be active at a time (the
+  /// JobRunner is serial); start() throws std::logic_error otherwise.
+  void start(std::span<const std::span<const campaign::ExperimentId>> chunks,
+             const campaign::SupervisorOptions& supervisor,
+             campaign::ChunkRunner run_local) override;
+  std::optional<std::vector<campaign::ExperimentRecord>> next(
+      const std::function<bool()>& should_stop) override;
+  /// Outstanding remote leases die with the job; late results become
+  /// stale and never merge.
+  void finish() override;
+  void add_stats(campaign::SupervisorStats& stats) const override;
 
  private:
   struct Chunk {
@@ -201,6 +171,14 @@ class ChunkDispatcher {
     std::map<std::uint64_t, Grudge> grudges;      ///< per-(worker,chunk)
   };
 
+  /// Counts the runner adds to its supervisor stats (add_stats).
+  struct RemoteStats {
+    std::uint64_t worker_deaths = 0;  ///< folded from winning results
+    std::uint64_t worker_hangs = 0;
+    std::uint64_t requeued = 0;  ///< ids requeued here or on a worker
+    std::uint64_t quarantined = 0;
+  };
+
   struct Job {
     bool active = false;
     std::uint64_t id = 0;
@@ -210,8 +188,9 @@ class ChunkDispatcher {
     std::uint32_t quarantine_after = 3;
     std::vector<Chunk> chunks;
     std::size_t done = 0;
-    std::deque<std::size_t> completed;  ///< chunk indexes awaiting merge
-    DispatchStats stats;
+    std::deque<std::size_t> completed;  ///< chunk indexes awaiting return
+    bool stopping = false;  ///< should_stop fired: no new leases
+    RemoteStats stats;
   };
 
   std::uint64_t now() const;
@@ -228,11 +207,8 @@ class ChunkDispatcher {
   // Runner-side helpers (each takes the mutex).
   std::optional<std::pair<std::uint64_t, std::vector<campaign::ExperimentId>>>
   claim_local_chunk();
-  bool complete_local_chunk(std::uint64_t seq,
+  void complete_local_chunk(std::uint64_t seq,
                             std::vector<campaign::ExperimentRecord> records);
-  std::optional<std::pair<std::uint64_t,
-                          std::vector<campaign::ExperimentRecord>>>
-  pop_completed();
 
   DispatchOptions options_;
   mutable std::mutex mutex_;
@@ -244,6 +220,10 @@ class ChunkDispatcher {
   std::uint64_t next_worker_id_ = 1;
   std::uint64_t job_counter_ = 0;
   Job job_;
+  std::string kernel_, preset_;  ///< set_program(), copied into the next job
+  // Runner-thread state of the active job.
+  campaign::ChunkRunner run_local_;
+  std::optional<telemetry::SpanScope> job_span_;
   util::Rng jitter_;
 };
 

@@ -41,6 +41,16 @@ bool pin_to_cpus(const std::vector<int>& cpus) {
 #endif
 }
 
+/// The dispatcher, set up for a job on kernel@preset, when at least one
+/// remote worker is live at job start; nullptr (run locally) otherwise.
+campaign::ChunkSource* remote_chunks(ChunkDispatcher* dispatcher,
+                                     const std::string& kernel,
+                                     const std::string& preset) {
+  if (dispatcher == nullptr || dispatcher->live_workers() == 0) return nullptr;
+  dispatcher->set_program(kernel, preset);
+  return dispatcher;
+}
+
 }  // namespace
 
 JobRunner::JobRunner(BoundaryStore* store, JobRunnerOptions options,
@@ -293,24 +303,10 @@ void JobRunner::execute_campaign(const CampaignJob& job) {
     options.path = options_.store_dir + "/" + key.str() + ".clog";
     options.flush_every = std::max<std::uint32_t>(1, job.req.flush_every);
     options.use_supervisor = true;
-    options.supervisor.pool.workers =
-        static_cast<int>(std::clamp<std::uint32_t>(job.req.workers, 1, 16));
-    // timeout 0 from a client request must not disable hang detection on
-    // the daemon: substitute the campaign fallback deadline instead.
-    options.supervisor.pool.heartbeat_timeout_ms =
-        job.req.timeout_ms != 0 ? job.req.timeout_ms
-                                : campaign::kFallbackDeadlineMs;
-    options.supervisor.pool.use_snapshots = options_.use_snapshots;
-    options.supervisor.pool.snapshot.interval = options_.snapshot_interval;
-    options.supervisor.pool.snapshot.timeout_ms =
-        options.supervisor.pool.heartbeat_timeout_ms;
-    options.supervisor.quarantine_after =
-        static_cast<int>(job.req.quarantine_after);
-    options.supervisor.telemetry = options_.telemetry;
-    // Never run injected experiments on the daemon's own thread: a hazard
-    // flip that escapes isolation could hang or kill the whole service.  If
-    // the pool degrades to nothing, fail this one job instead.
-    options.supervisor.allow_in_process_fallback = false;
+    options.supervisor = daemon_supervisor(
+        job.req.workers, job.req.timeout_ms, job.req.quarantine_after,
+        options_.use_snapshots, options_.snapshot_interval,
+        options_.telemetry);
 
     campaign::OutcomeCounts tally;
     campaign::SupervisorStats last_stats;
@@ -343,43 +339,17 @@ void JobRunner::execute_campaign(const CampaignJob& job) {
       std::lock_guard<std::mutex> lock(mutex_);
       return stop_;
     };
+    // With a live remote worker, chunks fan out through the dispatcher (the
+    // runner thread co-executes, so losing every worker mid-job still
+    // finishes the job); the journal bytes are the same either way.
+    options.chunk_source =
+        remote_chunks(options_.dispatcher, job.req.kernel, job.req.preset);
 
-    campaign::CheckpointRunResult run;
-    const bool distributed = options_.dispatcher != nullptr &&
-                             options_.dispatcher->live_workers() > 0;
-    if (distributed) {
-      // At least one remote worker is live: fan chunks out through the
-      // dispatcher (the runner thread co-executes, so losing every worker
-      // mid-job still finishes it).  Chunk outcomes are deterministic and
-      // the journal dedupe sorts by id, so this path and the local one
-      // below leave byte-identical journals and boundaries.
-      DistributedJobOptions dist;
-      dist.path = options.path;
-      dist.flush_every = options.flush_every;
-      dist.kernel = job.req.kernel;
-      dist.preset = job.req.preset;
-      dist.pool_workers = std::clamp<std::uint32_t>(job.req.workers, 1, 16);
-      dist.timeout_ms = job.req.timeout_ms != 0 ? job.req.timeout_ms
-                                                : campaign::kFallbackDeadlineMs;
-      dist.quarantine_after = job.req.quarantine_after;
-      dist.supervisor = options.supervisor;
-      dist.telemetry = options_.telemetry;
-      dist.on_progress = options.on_progress;
-      dist.should_stop = options.should_stop;
-      DistributedRunResult dres =
-          options_.dispatcher->run_job(*program, golden, ids, dist);
-      run.log = std::move(dres.log);
-      run.resumed = dres.resumed;
-      run.skipped = dres.skipped;
-      run.executed = dres.executed;
-      run.flushes = dres.flushes;
-      run.stopped = dres.stopped;
-      run.supervisor_stats = dres.supervisor_stats;
-      if (telemetry::active(options_.telemetry)) {
-        options_.telemetry->metrics().counter("jobs.distributed").add();
-      }
-    } else {
-      run = campaign::run_campaign_checkpointed(*program, golden, ids, options);
+    const campaign::CheckpointRunResult run =
+        campaign::run_campaign_checkpointed(*program, golden, ids, options);
+    if (options.chunk_source != nullptr &&
+        telemetry::active(options_.telemetry)) {
+      options_.telemetry->metrics().counter("jobs.distributed").add();
     }
     done.executed = run.executed;
     done.skipped = run.skipped;
@@ -487,32 +457,29 @@ void JobRunner::execute_recompute(const CampaignJob& job) {
     sopts.carve.seed = req.seed;
     sopts.carve.batch_per_section = req.section_batch;
     sopts.carve.batch_overrides = req.section_batches;
-    sopts.flush_every = std::max<std::uint32_t>(1, req.flush_every);
     sopts.force = req.force;
-    sopts.telemetry = options_.telemetry;
-    // Same isolation posture as a campaign job: supervisor always on, no
-    // in-process fallback (an escaped flip must not take the daemon down),
-    // timeout 0 substituted with the campaign fallback deadline.
-    sopts.use_supervisor = true;
-    sopts.supervisor.pool.workers =
-        static_cast<int>(std::clamp<std::uint32_t>(req.workers, 1, 16));
-    sopts.supervisor.pool.heartbeat_timeout_ms =
-        req.timeout_ms != 0 ? req.timeout_ms : campaign::kFallbackDeadlineMs;
-    sopts.supervisor.pool.use_snapshots = options_.use_snapshots;
-    sopts.supervisor.pool.snapshot.interval = options_.snapshot_interval;
-    sopts.supervisor.pool.snapshot.timeout_ms =
-        sopts.supervisor.pool.heartbeat_timeout_ms;
-    sopts.supervisor.quarantine_after =
-        static_cast<int>(req.quarantine_after);
-    sopts.supervisor.telemetry = options_.telemetry;
-    sopts.supervisor.allow_in_process_fallback = false;
-    sopts.should_stop = [this] {
+    // Same isolation posture as a campaign job.
+    campaign::CheckpointOptions& checkpoint = sopts.checkpoint;
+    checkpoint.flush_every = std::max<std::uint32_t>(1, req.flush_every);
+    checkpoint.telemetry = options_.telemetry;
+    checkpoint.use_supervisor = true;
+    checkpoint.supervisor = daemon_supervisor(
+        req.workers, req.timeout_ms, req.quarantine_after,
+        options_.use_snapshots, options_.snapshot_interval,
+        options_.telemetry);
+    checkpoint.should_stop = [this] {
       std::lock_guard<std::mutex> lock(mutex_);
       return stop_;
     };
+    // With live remote workers, each dirty section fans out through the
+    // chunk dispatcher; its journal is byte-identical to the local path's,
+    // so resume and splice semantics are unchanged.
+    checkpoint.chunk_source =
+        remote_chunks(options_.dispatcher, req.kernel, req.preset);
 
     campaign::OutcomeCounts tally;
-    const auto progress_sink = [&](const campaign::CheckpointProgress& p) {
+    sopts.on_progress = [&](const std::string&,
+                            const campaign::CheckpointProgress& p) {
       const campaign::OutcomeCounts chunk = campaign::count_outcomes(p.chunk);
       tally.masked += chunk.masked;
       tally.sdc += chunk.sdc;
@@ -538,46 +505,6 @@ void JobRunner::execute_recompute(const CampaignJob& job) {
       }
       if (callbacks_.on_progress) callbacks_.on_progress(job, progress);
     };
-    sopts.on_progress = [&](const std::string&,
-                            const campaign::CheckpointProgress& p) {
-      progress_sink(p);
-    };
-
-    // With live remote workers, each dirty section fans out through the
-    // chunk dispatcher; the journal it leaves is byte-identical to the
-    // local path's, so resume and splice semantics are unchanged.
-    if (options_.dispatcher != nullptr &&
-        options_.dispatcher->live_workers() > 0) {
-      sopts.section_runner =
-          [&](const sections::SectionSpec&,
-              std::span<const campaign::ExperimentId> ids,
-              const std::string& journal) {
-            DistributedJobOptions dist;
-            dist.path = journal;
-            dist.flush_every = sopts.flush_every;
-            dist.kernel = req.kernel;
-            dist.preset = req.preset;
-            dist.pool_workers = std::clamp<std::uint32_t>(req.workers, 1, 16);
-            dist.timeout_ms = sopts.supervisor.pool.heartbeat_timeout_ms;
-            dist.quarantine_after = req.quarantine_after;
-            dist.supervisor = sopts.supervisor;
-            dist.telemetry = options_.telemetry;
-            dist.on_progress = progress_sink;
-            dist.should_stop = sopts.should_stop;
-            DistributedRunResult dres =
-                options_.dispatcher->run_job(*program, golden, ids, dist);
-            if (telemetry::active(options_.telemetry)) {
-              options_.telemetry->metrics()
-                  .counter("jobs.distributed_sections")
-                  .add();
-            }
-            sections::SectionRunOutcome out;
-            out.log = std::move(dres.log);
-            out.executed = dres.executed;
-            out.stopped = dres.stopped;
-            return out;
-          };
-    }
 
     // Previous composed artifact seeds the fingerprint diff.  Missing ==
     // full compose; unusable == recompute everything (counted) rather than
@@ -599,6 +526,12 @@ void JobRunner::execute_recompute(const CampaignJob& job) {
 
     const sections::SectionCampaignResult run = sections::run_section_campaigns(
         *program, golden, previous ? &*previous : nullptr, sopts);
+    if (checkpoint.chunk_source != nullptr &&
+        telemetry::active(options_.telemetry)) {
+      options_.telemetry->metrics()
+          .counter("jobs.distributed_sections")
+          .add(run.dirty.size());
+    }
     done.executed = run.executed;
     done.dirty = run.dirty;
     done.reused = run.reused;

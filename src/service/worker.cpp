@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "kernels/registry.h"
+#include "service/dispatch.h"
 #include "util/retry.h"
 
 namespace ftb::service {
@@ -88,9 +89,8 @@ WorkerChunkResult WorkerAgent::run_chunk(const WorkerChunk& chunk) {
       it = sessions_.emplace(key, std::move(session)).first;
     }
     Session& session = it->second;
-    const std::uint32_t pool_workers = std::clamp<std::uint32_t>(
-        chunk.pool_workers != 0 ? chunk.pool_workers : options_.pool_workers,
-        1, 16);
+    const std::uint32_t pool_workers =
+        chunk.pool_workers != 0 ? chunk.pool_workers : options_.pool_workers;
     if (session.supervisor &&
         (session.pool_workers != pool_workers ||
          session.timeout_ms != chunk.timeout_ms ||
@@ -103,20 +103,13 @@ WorkerChunkResult WorkerAgent::run_chunk(const WorkerChunk& chunk) {
       ++stats_.sessions_rebuilt;
     }
     if (!session.supervisor) {
-      campaign::SupervisorOptions supervisor;
-      supervisor.pool.workers = static_cast<int>(pool_workers);
-      supervisor.pool.heartbeat_timeout_ms = chunk.timeout_ms;
-      supervisor.pool.use_snapshots = options_.use_snapshots;
-      supervisor.pool.snapshot.interval = options_.snapshot_interval;
-      supervisor.pool.snapshot.timeout_ms = chunk.timeout_ms;
-      supervisor.quarantine_after = static_cast<int>(chunk.quarantine_after);
-      supervisor.telemetry = options_.telemetry;
-      // Same rule as the service's own job plane: hazard experiments never
-      // run on the daemon's threads.  A pool that degrades to nothing
-      // fails the chunk; the dispatcher requeues it elsewhere.
-      supervisor.allow_in_process_fallback = false;
+      // Same settings as the service's own job plane.  A pool that degrades
+      // to nothing fails the chunk; the dispatcher requeues it elsewhere.
       session.supervisor = std::make_unique<campaign::CampaignSupervisor>(
-          *session.program, session.golden, supervisor);
+          *session.program, session.golden,
+          daemon_supervisor(pool_workers, chunk.timeout_ms,
+                            chunk.quarantine_after, options_.use_snapshots,
+                            options_.snapshot_interval, options_.telemetry));
       session.last = session.supervisor->stats();
       session.pool_workers = pool_workers;
       session.timeout_ms = chunk.timeout_ms;

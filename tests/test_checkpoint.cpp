@@ -1,5 +1,6 @@
 #include "campaign/checkpoint.h"
 
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -141,6 +142,112 @@ TEST(Checkpoint, SandboxedChunksWork) {
   EXPECT_EQ(run.log.serialize(), baseline.log.serialize());
   std::filesystem::remove(options.path);
   std::filesystem::remove(in_process.path);
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// A chunk source that runs chunks last-first on the runner's own backend
+/// and keeps one finished chunk in hand, so a stop always finds a finished
+/// chunk the runner has not merged yet.
+class ReversedChunks final : public ChunkSource {
+ public:
+  void start(std::span<const std::span<const ExperimentId>> chunks,
+             const SupervisorOptions&, ChunkRunner run_local) override {
+    chunks_ = chunks;
+    unrun_ = chunks.size();
+    run_local_ = std::move(run_local);
+  }
+
+  std::optional<std::vector<ExperimentRecord>> next(
+      const std::function<bool()>& should_stop) override {
+    while (unrun_ > 0 && finished_.size() < 2 && !should_stop()) {
+      finished_.push_back(run_local_(chunks_[--unrun_]));
+    }
+    if (finished_.empty()) return std::nullopt;
+    std::vector<ExperimentRecord> batch = std::move(finished_.front());
+    finished_.pop_front();
+    return batch;
+  }
+
+  void finish() override { ++finishes; }
+
+  int finishes = 0;
+
+ private:
+  std::span<const std::span<const ExperimentId>> chunks_;
+  std::size_t unrun_ = 0;
+  ChunkRunner run_local_;
+  std::deque<std::vector<ExperimentRecord>> finished_;
+};
+
+TEST(Checkpoint, ChunkSourceOrderDoesNotChangeTheJournal) {
+  Prepared p("daxpy");
+  util::Rng rng(35);
+  const std::vector<ExperimentId> ids =
+      sample_uniform(rng, p.golden.sample_space_size(), 100);
+
+  for (const char* tag : {"source_local", "source_reversed", "source_drained"}) {
+    std::filesystem::remove(temp_journal(tag));
+  }
+  CheckpointOptions local;
+  local.path = temp_journal("source_local");
+  local.flush_every = 20;
+  local.pool = &p.pool;
+  (void)run_campaign_checkpointed(*p.program, p.golden, ids, local);
+  const std::string expected = file_bytes(local.path);
+
+  // Every chunk, returned last-first: the same journal bytes.
+  ReversedChunks reversed;
+  CheckpointOptions options = local;
+  options.path = temp_journal("source_reversed");
+  options.chunk_source = &reversed;
+  const CheckpointRunResult run =
+      run_campaign_checkpointed(*p.program, p.golden, ids, options);
+  EXPECT_FALSE(run.stopped);
+  EXPECT_EQ(run.executed, ids.size());
+  EXPECT_EQ(run.flushes, 6u);  // five chunks + the final dedupe flush
+  EXPECT_EQ(reversed.finishes, 1);
+  EXPECT_EQ(file_bytes(options.path), expected);
+
+  // A stop after two merged chunks still merges the third, which had
+  // already finished: the last three chunks are journalled.
+  ReversedChunks stopping;
+  CheckpointOptions drained = local;
+  drained.path = temp_journal("source_drained");
+  drained.chunk_source = &stopping;
+  std::size_t merged = 0;
+  drained.on_progress = [&](const CheckpointProgress& progress) {
+    if (!progress.chunk.empty()) ++merged;
+  };
+  drained.should_stop = [&] { return merged >= 2; };
+  const CheckpointRunResult stopped =
+      run_campaign_checkpointed(*p.program, p.golden, ids, drained);
+  EXPECT_TRUE(stopped.stopped);
+  EXPECT_EQ(stopped.executed, 60u);
+  EXPECT_EQ(stopping.finishes, 1);
+  const std::vector<ExperimentId> last_three(ids.end() - 60, ids.end());
+  EXPECT_EQ(stopped.log.ids(), last_three);
+  const auto on_disk = CampaignLog::load(drained.path);
+  ASSERT_TRUE(on_disk.has_value());
+  EXPECT_EQ(on_disk->ids(), last_three);
+
+  // Resuming that journal locally converges to the same bytes.
+  drained.chunk_source = nullptr;
+  drained.on_progress = nullptr;
+  drained.should_stop = nullptr;
+  const CheckpointRunResult resumed =
+      run_campaign_checkpointed(*p.program, p.golden, ids, drained);
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.skipped, 60u);
+  EXPECT_EQ(resumed.executed, 40u);
+  EXPECT_EQ(file_bytes(drained.path), expected);
+
+  std::filesystem::remove(local.path);
+  std::filesystem::remove(options.path);
+  std::filesystem::remove(drained.path);
 }
 
 TEST(Checkpoint, ZeroSandboxTimeoutGetsFallbackDeadline) {

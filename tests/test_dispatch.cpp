@@ -3,11 +3,13 @@
 // the lease/requeue/quarantine discipline end to end -- remote execution
 // with a byte-identical journal, a worker dying mid-chunk, a SIGSTOP-style
 // silent worker losing its lease, a chunk-killing worker being quarantined,
-// and duplicate results being dropped exactly-once.
+// duplicate results being dropped exactly-once, a drain mid-job, and a
+// recompute job's sections running through the dispatcher.
 #include "service/dispatch.h"
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -30,6 +32,11 @@ namespace ftb::service {
 namespace {
 
 namespace fs = std::filesystem;
+
+std::string file_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
 
 TEST(WorkerProtocol, RoundTripsAllWorkerPlaneMessages) {
   WorkerHello hello;
@@ -224,9 +231,10 @@ class DispatchTest : public ::testing::Test {
 
   void start(std::uint32_t lease_timeout_ms = 600,
              std::uint32_t straggler_ms = 1000,
-             const std::string& worker_token = "") {
+             const std::string& worker_token = "",
+             const fs::path& store_dir = {}) {
     ServiceOptions options;
-    options.store_dir = dir_.string();
+    options.store_dir = (store_dir.empty() ? dir_ : store_dir).string();
     options.telemetry = &telemetry_;
     options.dispatch.heartbeat_interval_ms = 100;
     options.dispatch.lease_timeout_ms = lease_timeout_ms;
@@ -266,7 +274,11 @@ class DispatchTest : public ::testing::Test {
     std::string error;
   };
 
-  SubmitOutcome submit_and_wait(const SubmitCampaignReq& req) {
+  /// Submits `req` and waits for its CampaignDone; with
+  /// `stop_after_progress` > 0 the service starts draining once that many
+  /// progress frames have arrived.
+  SubmitOutcome submit_and_wait(const SubmitCampaignReq& req,
+                                int stop_after_progress = -1) {
     SubmitOutcome outcome;
     net::ClientOptions copts;
     copts.port = server_->port();
@@ -282,9 +294,31 @@ class DispatchTest : public ::testing::Test {
     for (;;) {
       const auto frame = client.recv(&outcome.error, 120000);
       if (!frame.has_value()) return outcome;
-      if (parse_campaign_progress(*frame).has_value()) continue;
+      if (parse_campaign_progress(*frame).has_value()) {
+        if (--stop_after_progress == 0) service_->request_shutdown();
+        continue;
+      }
       outcome.done = parse_campaign_done(*frame);
       return outcome;
+    }
+  }
+
+  std::optional<RecomputeDone> recompute_and_wait(
+      const SubmitRecomputeReq& req, std::string* error) {
+    net::ClientOptions copts;
+    copts.port = server_->port();
+    net::Client client(copts);
+    if (!client.connect(error)) return std::nullopt;
+    if (!client.send(make_submit_recompute(req), error)) return std::nullopt;
+    const auto accepted = client.recv(error, 60000);
+    if (!accepted.has_value() || !parse_campaign_accepted(*accepted)) {
+      return std::nullopt;
+    }
+    for (;;) {
+      const auto frame = client.recv(error, 120000);
+      if (!frame.has_value()) return std::nullopt;
+      if (parse_campaign_progress(*frame).has_value()) continue;
+      return parse_recompute_done(*frame);
     }
   }
 
@@ -748,6 +782,94 @@ TEST_F(DispatchTest, ZeroWorkersDegradesToLocalPath) {
   EXPECT_EQ(counter("jobs.distributed"), 0u);
   EXPECT_EQ(counter("dispatch.chunks_remote"), 0u);
   EXPECT_EQ(journal_bytes("daxpy@tiny@61"), reference_journal(req));
+}
+
+// A drain with a live worker stops the distributed job at a chunk edge: it
+// leases nothing new, journals the chunks that already finished, and the
+// journal resumes to the local-only bytes.
+TEST_F(DispatchTest, DrainWithLiveWorkerLeavesResumableJournal) {
+  start();
+  WorkerAgentOptions agent_options;
+  agent_options.port = server_->port();
+  agent_options.name = "drained";
+  WorkerAgent agent(agent_options);
+  std::thread agent_thread([&] { agent.serve(); });
+  ASSERT_TRUE(wait_for_workers(1));
+
+  SubmitCampaignReq req;
+  req.kernel = "cg";
+  req.preset = "tiny";
+  req.seed = 17;
+  req.batch = 6000;
+  req.flush_every = 16;
+  const SubmitOutcome outcome = submit_and_wait(req, /*stop_after_progress=*/1);
+  agent.request_stop();
+  agent_thread.join();
+  ASSERT_TRUE(outcome.done.has_value()) << outcome.error;
+  EXPECT_TRUE(outcome.done->stopped) << outcome.done->error;
+  EXPECT_LT(outcome.done->executed, req.batch);
+  EXPECT_EQ(counter("jobs.distributed"), 1u);
+  stop();
+
+  const fi::ProgramPtr program = kernels::make_program("cg",
+                                                       kernels::Preset::kTiny);
+  const fi::GoldenRun golden = fi::run_golden(*program);
+  util::Rng rng(req.seed);
+  const auto ids =
+      campaign::sample_uniform(rng, golden.sample_space_size(), req.batch);
+  campaign::CheckpointOptions resume;
+  resume.path = (dir_ / "cg@tiny@17.clog").string();
+  resume.flush_every = 4096;
+  const auto resumed =
+      campaign::run_campaign_checkpointed(*program, golden, ids, resume);
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.skipped, outcome.done->executed);
+  EXPECT_EQ(journal_bytes("cg@tiny@17"), reference_journal(req));
+}
+
+// A recompute job with a live worker runs its dirty sections through the
+// dispatcher, yet publishes exactly the composed artifact and boundary a
+// local-only daemon does.
+TEST_F(DispatchTest, DistributedRecomputeMatchesLocalRecompute) {
+  start();
+  WorkerAgentOptions agent_options;
+  agent_options.port = server_->port();
+  agent_options.name = "sections";
+  agent_options.capacity = 2;
+  WorkerAgent agent(agent_options);
+  std::thread agent_thread([&] { agent.serve(); });
+  ASSERT_TRUE(wait_for_workers(1));
+
+  SubmitRecomputeReq req;
+  req.kernel = "cg";
+  req.preset = "tiny";
+  req.seed = 7;
+  req.section_batch = 64;
+  req.flush_every = 16;
+  std::string error;
+  const auto distributed = recompute_and_wait(req, &error);
+  agent.request_stop();
+  agent_thread.join();
+  ASSERT_TRUE(distributed.has_value()) << error;
+  EXPECT_TRUE(distributed->ok) << distributed->error;
+  EXPECT_GE(counter("jobs.distributed_sections"), 1u);
+
+  const fs::path local_dir = dir_ / "local";
+  fs::create_directories(local_dir);
+  stop();
+  start(600, 1000, "", local_dir);
+  ASSERT_EQ(service_->dispatcher().live_workers(), 0u);
+  const auto local = recompute_and_wait(req, &error);
+  ASSERT_TRUE(local.has_value()) << error;
+  EXPECT_TRUE(local->ok) << local->error;
+
+  const std::string key = "cg@tiny@7";
+  for (const char* suffix : {".compose", ".boundary"}) {
+    SCOPED_TRACE(suffix);
+    const std::string remote_bytes = file_bytes(dir_ / (key + suffix));
+    EXPECT_FALSE(remote_bytes.empty());
+    EXPECT_EQ(remote_bytes, file_bytes(local_dir / (key + suffix)));
+  }
 }
 
 }  // namespace

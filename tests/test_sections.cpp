@@ -64,8 +64,8 @@ SectionCampaignOptions base_options(const Prepared& p, const TempDir& dir,
   options.kernel = "cg";
   options.preset = "tiny";
   options.carve.batch_per_section = batch;
-  options.flush_every = 16;
-  options.pool = const_cast<util::ThreadPool*>(&p.pool);
+  options.checkpoint.flush_every = 16;
+  options.checkpoint.pool = const_cast<util::ThreadPool*>(&p.pool);
   return options;
 }
 
@@ -366,7 +366,7 @@ TEST(SectionCampaign, DrainLeavesResumableJournalsAndResumesByteIdentically) {
   // between sections, so the run stops with a partial plan on disk.
   SectionCampaignOptions options = base_options(p, drained_dir);
   int sections_started = 0;
-  options.should_stop = [&] { return sections_started++ >= 1; };
+  options.checkpoint.should_stop = [&] { return sections_started++ >= 1; };
   const SectionCampaignResult drained =
       run_section_campaigns(*p.program, p.golden, nullptr, options);
   EXPECT_TRUE(drained.stopped);
@@ -375,7 +375,7 @@ TEST(SectionCampaign, DrainLeavesResumableJournalsAndResumesByteIdentically) {
   // Resume without the stop signal: the finished sections' journals are
   // replayed (no experiment re-runs) and the final artifact is
   // byte-identical to a never-interrupted run.
-  options.should_stop = nullptr;
+  options.checkpoint.should_stop = nullptr;
   const SectionCampaignResult resumed =
       run_section_campaigns(*p.program, p.golden, nullptr, options);
   ASSERT_FALSE(resumed.stopped);

@@ -602,5 +602,48 @@ TEST(SnapshotCampaign, JournalBytesMatchClassicAcrossKillAndResume) {
   std::filesystem::remove(snap.path);
 }
 
+TEST(SnapshotCampaign, HolderClassifiesSpinBeforePoolHeartbeatFires) {
+  // A spinning flip served from a snapshot tree is the holder's to classify:
+  // its watchdog records one Hang and the worker lives on.  The pool's
+  // heartbeat must outlast that watchdog rather than race it -- a lost race
+  // kills the worker, respawns it, rebuilds its tree and retries the
+  // experiment.  The watchdog here is longer than the heartbeat, so a pool
+  // that used the bare heartbeat as its stall deadline would always win.
+  const kernels::HazardSpinProgram program{kernels::HazardSpinConfig{}};
+  const GoldenRun golden = run_golden(program);
+  ASSERT_TRUE(snapshot_safe(program));
+  const std::vector<campaign::ExperimentId> ids = {
+      campaign::encode(0, 0),  // benign
+      // Exponent LSB of the 0.5 decay factor: the residual never shrinks.
+      campaign::encode(kernels::HazardSpinProgram::kDecaySite, 52),
+  };
+
+  campaign::CheckpointOptions plain;
+  plain.path = temp_journal("spin_plain");
+  plain.use_supervisor = true;
+  plain.supervisor.pool.workers = 1;
+  plain.supervisor.pool.heartbeat_timeout_ms = 200;
+  plain.supervisor.quarantine_after = 1;
+  std::filesystem::remove(plain.path);
+  run_campaign_checkpointed(program, golden, ids, plain);
+
+  campaign::CheckpointOptions snap = plain;
+  snap.path = temp_journal("spin_snap");
+  snap.supervisor.pool.use_snapshots = true;
+  snap.supervisor.pool.snapshot.timeout_ms = 300;
+  std::filesystem::remove(snap.path);
+  const campaign::CheckpointRunResult run =
+      run_campaign_checkpointed(program, golden, ids, snap);
+
+  const campaign::OutcomeCounts counts =
+      campaign::count_outcomes(run.log.records());
+  EXPECT_EQ(counts.hang, 1u);
+  EXPECT_EQ(run.supervisor_stats.worker_hangs, 0u);
+  EXPECT_EQ(run.supervisor_stats.pool.respawns, 0u);
+  EXPECT_EQ(file_bytes(snap.path), file_bytes(plain.path));
+  std::filesystem::remove(plain.path);
+  std::filesystem::remove(snap.path);
+}
+
 }  // namespace
 }  // namespace ftb::fi

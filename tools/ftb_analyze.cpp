@@ -585,19 +585,20 @@ int cmd_compose(const util::Cli& cli) {
   options.kernel = cli.get("kernel", "cg");
   options.preset = cli.get("preset", "default");
   options.carve = carve_options(cli);
-  options.flush_every =
+  options.checkpoint.flush_every =
       static_cast<std::size_t>(cli.get_int("flush-every", 256));
   options.force = cli.get_bool("force", false);
   options.filter = cli.get_bool("filter", true);
   options.edge_window =
       static_cast<std::uint64_t>(cli.get_int("edge-window", 16));
-  options.telemetry = tele;
-  options.use_supervisor = select_supervisor(cli, options.supervisor);
+  options.checkpoint.telemetry = tele;
+  options.checkpoint.use_supervisor =
+      select_supervisor(cli, options.checkpoint.supervisor);
 
   g_compose_stop = 0;
   std::signal(SIGTERM, compose_stop_handler);
   std::signal(SIGINT, compose_stop_handler);
-  options.should_stop = [] { return g_compose_stop != 0; };
+  options.checkpoint.should_stop = [] { return g_compose_stop != 0; };
   options.on_progress = [](const std::string& section,
                            const campaign::CheckpointProgress& progress) {
     if (progress.chunk.empty()) return;
