@@ -133,18 +133,30 @@ CheckpointRunResult run_campaign_checkpointed(
     return current;
   };
 
-  const auto flush = [&] {
+  // The first flush of an invocation writes the in-progress journal whole
+  // (whatever form the file had, and any torn tail, are gone after it); each
+  // later flush appends just the chunk it merged.  The final flush compacts.
+  JournalWriter journal(options.path);
+  const auto flush = [&](std::span<const ExperimentRecord> batch, bool last) {
     telemetry::SpanScope span(options.telemetry, "checkpoint.flush",
                               "checkpoint");
     span.arg("records", static_cast<double>(result.log.size()));
-    if (!result.log.save(options.path)) {
+    std::string error;
+    const bool written = last ? journal.compact(result.log, &error)
+                         : journal.is_open() ? journal.append(batch, &error)
+                                             : journal.begin(result.log, &error);
+    if (!written) {
       throw std::runtime_error(
           "run_campaign_checkpointed: cannot write journal '" + options.path +
-          "'");
+          "': " + error);
     }
     ++result.flushes;
+    span.arg("bytes", static_cast<double>(journal.last_write_bytes()));
     if (telemetry::active(options.telemetry)) {
-      options.telemetry->metrics().counter("checkpoint.flushes").add();
+      auto& metrics = options.telemetry->metrics();
+      metrics.counter("checkpoint.flushes").add();
+      metrics.counter("checkpoint.flush_bytes").add(journal.last_write_bytes());
+      if (last) metrics.counter("checkpoint.compactions").add();
     }
   };
 
@@ -184,7 +196,7 @@ CheckpointRunResult run_campaign_checkpointed(
             .counter("checkpoint.experiments")
             .add(batch->size());
       }
-      flush();
+      flush(*batch, false);
       report(*batch);
     }
   } catch (...) {
@@ -195,7 +207,7 @@ CheckpointRunResult run_campaign_checkpointed(
   result.stopped = returned < chunks.size();
 
   result.log.dedupe();
-  flush();  // final flush persists the deduped journal (complete or drained)
+  flush({}, true);  // the compacted, deduped journal (complete or drained)
   report({});
   if (report_stats) result.supervisor_stats = stats();
   return result;

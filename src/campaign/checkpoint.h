@@ -3,12 +3,15 @@
 // A campaign over a hazard kernel can be killed at any moment -- by a CI
 // timeout, by the machine, or by the user.  This runner makes that
 // survivable: it executes experiments in chunks and flushes the accumulated
-// CampaignLog journal to disk after each chunk (atomic tmp+rename,
-// CRC-framed -- see campaign/log.h), so a re-invocation with the same
-// journal path resumes from the last flush instead of starting over.
-// Already-logged experiment ids are skipped; the final log, after dedupe,
-// is identical to what an uninterrupted run would have produced (experiment
-// outcomes are deterministic).
+// CampaignLog journal to disk after each chunk, so a re-invocation with the
+// same journal path resumes from the last flush instead of starting over.
+// While it runs the journal is in its in-progress form (campaign/log.h):
+// the first flush writes it whole, each later one appends the chunk it
+// merged as one CRC frame and fsyncs, so a flush costs O(new records).  The
+// final flush compacts it to the v3 form.  Already-logged experiment ids
+// are skipped; the final log, after dedupe, is identical to what an
+// uninterrupted run would have produced (experiment outcomes are
+// deterministic).
 //
 // run_campaign_checkpointed is the only code that loads, resumes, flushes,
 // reports, stops and dedupes a journal.  *Where* a chunk runs is a separate
@@ -110,7 +113,9 @@ struct CheckpointOptions {
   util::ThreadPool* pool = nullptr;
 
   /// Optional telemetry sink (telemetry/events.h): checkpoint.chunk and
-  /// checkpoint.flush spans plus checkpoint.* counters; forwarded to the
+  /// checkpoint.flush spans (the flush with the bytes it wrote) plus
+  /// checkpoint.* counters (experiments, flushes, flush_bytes,
+  /// compactions); forwarded to the
   /// supervisor (and through it the pool) when supervisor.telemetry is
   /// unset.  Never owned; must outlive the call.
   telemetry::Telemetry* telemetry = nullptr;
@@ -135,7 +140,7 @@ struct CheckpointRunResult {
   bool resumed = false;         ///< true if an existing journal was loaded
   std::uint64_t skipped = 0;    ///< experiments satisfied by the journal
   std::uint64_t executed = 0;   ///< experiments actually run this invocation
-  std::uint64_t flushes = 0;    ///< journal writes (including the final one)
+  std::uint64_t flushes = 0;    ///< journal writes (including the final compaction)
   bool stopped = false;         ///< should_stop fired; journal is resumable
   /// Populated when use_supervisor or a chunk source is set.
   SupervisorStats supervisor_stats;

@@ -10,6 +10,28 @@
 //     settings (e.g. filter on/off) by re-running only the masked
 //     experiments in compare mode -- a small fraction of the original cost
 //     and no re-classification.
+//
+// A journal on disk takes one of two forms (little-endian u64 words):
+//
+//   compacted (v3, what save() writes and every finished run leaves):
+//     | magic "FTB-CLOG" | version 3 | config key | record count |
+//     | records ... | crc32 of everything before it |
+//
+//   in-progress (what run_campaign_checkpointed keeps while it runs):
+//     | magic "FTB-CLOG" | version kInProgress|3 | config key |
+//     | crc32 of that header |
+//     | len u32 | crc32 u32 | records ... |   (one frame per flush)
+//
+// A record is seven words in both: id, outcome, crash reason, injected
+// error, output error, crash site, flags (bit 0 = detector fired).  The
+// in-progress frames are util::scan_frames frames (util/durable_file.h),
+// the framing the job ledger uses too: each flush appends one frame and
+// fsyncs, so a flush costs O(new records), and a crash mid-append leaves a
+// torn tail that load() drops, keeping every frame before it.  The final
+// flush of a run rewrites the journal in its compacted form, sorted and
+// deduped.  load() and deserialize() accept v2, v3 and in-progress
+// journals; an in-progress journal yields its records in append order,
+// exactly what a v3 snapshot of the same unfinished run would hold.
 #pragma once
 
 #include <optional>
@@ -22,6 +44,7 @@
 #include "campaign/campaign.h"
 #include "fi/executor.h"
 #include "fi/program.h"
+#include "util/durable_file.h"
 #include "util/thread_pool.h"
 
 namespace ftb::campaign {
@@ -52,12 +75,14 @@ class CampaignLog {
   /// Experiment ids in the log, sorted (after dedupe()).
   std::vector<ExperimentId> ids() const;
 
-  /// Binary (de)serialisation.  Format v2 frames the payload with a magic
-  /// number, a version word and a trailing CRC-32 of everything before it,
-  /// so torn writes and bit rot are detected instead of silently yielding a
-  /// short or garbled log.  On failure deserialize()/load() return nullopt
-  /// and, when `error` is non-null, store a one-line diagnosis there
-  /// (bad magic / unsupported version / CRC mismatch / truncated / ...).
+  /// Binary (de)serialisation of the compacted form.  It frames the
+  /// payload with a magic number, a version word and a trailing CRC-32 of
+  /// everything before it, so torn writes and bit rot are detected instead
+  /// of silently yielding a short or garbled log.  deserialize()/load() also
+  /// read the in-progress form (see the top of this file).  On failure they
+  /// return nullopt and, when `error` is non-null, store a one-line
+  /// diagnosis there (bad magic / unsupported version / CRC mismatch /
+  /// truncated / ...).
   std::string serialize() const;
   static std::optional<CampaignLog> deserialize(const std::string& payload,
                                                 std::string* error = nullptr);
@@ -68,6 +93,37 @@ class CampaignLog {
  private:
   std::string config_key_;
   std::vector<ExperimentRecord> records_;
+};
+
+/// Writes a journal in its in-progress form and compacts it at the end;
+/// the durable write path of run_campaign_checkpointed.
+class JournalWriter {
+ public:
+  explicit JournalWriter(std::string path) : path_(std::move(path)) {}
+
+  /// Durably replaces the journal (tmp + fsync + rename) with the
+  /// in-progress form of `log`, its records in order, and opens it for
+  /// appends.
+  bool begin(const CampaignLog& log, std::string* error = nullptr);
+
+  /// Appends `batch` as one frame and fsyncs before returning; a failed
+  /// append leaves the file as it was (util::AppendLog).
+  bool append(std::span<const ExperimentRecord> batch,
+              std::string* error = nullptr);
+
+  /// Closes the append handle and durably replaces the journal with the
+  /// compacted form of `log` (CampaignLog::serialize).
+  bool compact(const CampaignLog& log, std::string* error = nullptr);
+
+  bool is_open() const noexcept { return file_.valid(); }
+
+  /// Bytes the last begin(), append() or compact() wrote.
+  std::uint64_t last_write_bytes() const noexcept { return last_write_bytes_; }
+
+ private:
+  std::string path_;
+  util::AppendLog file_;
+  std::uint64_t last_write_bytes_ = 0;
 };
 
 /// The two-phase boundary rebuild every path shares (paper Algorithm 1 and

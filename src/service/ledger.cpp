@@ -18,20 +18,6 @@ constexpr std::size_t kPreambleSize = 16;
 /// is a torn length word, not a real record.
 constexpr std::uint32_t kMaxRecordLen = 1u << 20;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t read_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
 std::vector<std::uint8_t> encode_state_payload(std::uint64_t job,
                                                JobState state,
                                                const std::string& note) {
@@ -76,14 +62,24 @@ std::vector<std::uint8_t> encode_submit_payload(
   return writer.buffer();
 }
 
-std::vector<std::uint8_t> frame_record(
-    const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(8 + payload.size());
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, util::crc32(payload.data(), payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+/// The diagnostic for the torn or corrupt frame that ended a replay.
+std::string describe_tear(const util::FrameScan& scan) {
+  const std::string at = std::to_string(scan.end);
+  switch (scan.tail) {
+    case util::FrameTail::kTornHeader:
+      return "ledger tail is torn mid-record-header; dropping it";
+    case util::FrameTail::kOversized:
+      return "ledger record at offset " + at +
+             " declares an absurd length (" + std::to_string(scan.tail_len) +
+             " bytes); dropping the tail";
+    case util::FrameTail::kTornPayload:
+      return "ledger tail is torn mid-record; dropping it";
+    case util::FrameTail::kBadCrc:
+      return "ledger record at offset " + at + " fails its CRC; dropping the tail";
+    case util::FrameTail::kClean:
+      break;
+  }
+  return {};
 }
 
 }  // namespace
@@ -152,41 +148,13 @@ JobLedger::ReplayResult JobLedger::replay_file(const std::string& path) {
   std::vector<LedgerJob> jobs;
   std::unordered_map<std::uint64_t, std::size_t> index;
 
-  std::size_t pos = kPreambleSize;
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < 8) {
-      ++result.torn_records;
-      result.diagnostics.push_back(
-          "ledger tail is torn mid-record-header; dropping it");
-      break;
-    }
-    const std::uint32_t len = read_u32(bytes.data() + pos);
-    const std::uint32_t stored_crc = read_u32(bytes.data() + pos + 4);
-    if (len > kMaxRecordLen) {
-      ++result.torn_records;
-      result.diagnostics.push_back(
-          "ledger record at offset " + std::to_string(pos) +
-          " declares an absurd length (" + std::to_string(len) +
-          " bytes); dropping the tail");
-      break;
-    }
-    if (bytes.size() - pos - 8 < len) {
-      ++result.torn_records;
-      result.diagnostics.push_back(
-          "ledger tail is torn mid-record; dropping it");
-      break;
-    }
-    const std::uint8_t* payload = bytes.data() + pos + 8;
-    if (stored_crc != util::crc32(payload, len)) {
-      ++result.torn_records;
-      result.diagnostics.push_back(
-          "ledger record at offset " + std::to_string(pos) +
-          " fails its CRC; dropping the tail");
-      break;
-    }
+  const util::FrameScan scan =
+      util::scan_frames(bytes, kPreambleSize, kMaxRecordLen);
+  bool malformed = false;
+  for (const util::ScannedFrame& frame : scan.frames) {
+    const std::size_t pos = frame.offset;
     try {
-      util::BinaryReader reader(
-          std::vector<std::uint8_t>(payload, payload + len));
+      util::BinaryReader reader(frame.payload.data(), frame.payload.size());
       const std::uint64_t job = reader.get_u64();
       const std::uint64_t raw_state = reader.get_u64();
       if (raw_state > static_cast<std::uint64_t>(JobState::kFailed)) {
@@ -255,9 +223,13 @@ JobLedger::ReplayResult JobLedger::replay_file(const std::string& path) {
                                    std::to_string(pos) +
                                    " is malformed (" + e.what() +
                                    "); dropping the tail");
+      malformed = true;
       break;
     }
-    pos += 8 + len;
+  }
+  if (!malformed && scan.tail != util::FrameTail::kClean) {
+    ++result.torn_records;
+    result.diagnostics.push_back(describe_tear(scan));
   }
 
   for (LedgerJob& job : jobs) {
@@ -288,11 +260,11 @@ bool JobLedger::open(const std::string& path, ReplayResult* replay,
     compacted = preamble.buffer();
   }
   for (const LedgerJob& job : local.pending) {
-    const auto submit = frame_record(encode_submit_payload(
+    const auto submit = util::frame_record(encode_submit_payload(
         job.id, job.kind, &job.req, &job.recompute));
     compacted.insert(compacted.end(), submit.begin(), submit.end());
     if (job.state == JobState::kRunning) {
-      const auto running = frame_record(
+      const auto running = util::frame_record(
           encode_state_payload(job.id, JobState::kRunning, job.note));
       compacted.insert(compacted.end(), running.begin(), running.end());
     }
@@ -309,7 +281,7 @@ bool JobLedger::open(const std::string& path, ReplayResult* replay,
 bool JobLedger::append_submitted(std::uint64_t job,
                                  const SubmitCampaignReq& req,
                                  std::string* error) {
-  const auto record = frame_record(
+  const auto record = util::frame_record(
       encode_submit_payload(job, JobKind::kCampaign, &req, nullptr));
   return log_.append(record.data(), record.size(), error);
 }
@@ -317,14 +289,14 @@ bool JobLedger::append_submitted(std::uint64_t job,
 bool JobLedger::append_submitted_recompute(std::uint64_t job,
                                            const SubmitRecomputeReq& req,
                                            std::string* error) {
-  const auto record = frame_record(
+  const auto record = util::frame_record(
       encode_submit_payload(job, JobKind::kRecompute, nullptr, &req));
   return log_.append(record.data(), record.size(), error);
 }
 
 bool JobLedger::append_state(std::uint64_t job, JobState state,
                              const std::string& note, std::string* error) {
-  const auto record = frame_record(encode_state_payload(job, state, note));
+  const auto record = util::frame_record(encode_state_payload(job, state, note));
   return log_.append(record.data(), record.size(), error);
 }
 

@@ -9,8 +9,9 @@
 // chunk-edge checkpoint journal resumes it exactly like the CLI --resume
 // path.
 //
-// On-disk format (little-endian), reusing the CampaignLog framing
-// discipline:
+// On-disk format (little-endian); the records are util::append_frame
+// frames, read back by util::scan_frames (util/durable_file.h), the reader
+// in-progress campaign journals use too:
 //
 //   | magic u64 "FTB-JLDG" | version u64 |
 //   | len u32 | crc32(payload) u32 | payload ... |   (repeated)

@@ -1,8 +1,9 @@
 #include "util/cache.h"
 
+#include <array>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -19,15 +20,13 @@ constexpr std::uint64_t kVersion = 1;
 }  // namespace
 
 void BinaryWriter::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  const std::size_t at = buf_.size();
+  buf_.resize(at + 8);
+  store_le64(buf_.data() + at, v);
 }
 
 void BinaryWriter::put_f64(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(bits);
+  put_u64(std::bit_cast<std::uint64_t>(v));
 }
 
 void BinaryWriter::put_bytes(const std::vector<std::uint8_t>& v) {
@@ -37,7 +36,13 @@ void BinaryWriter::put_bytes(const std::vector<std::uint8_t>& v) {
 
 void BinaryWriter::put_f64_vec(const std::vector<double>& v) {
   put_u64(v.size());
-  for (double x : v) put_f64(x);
+  const std::size_t at = buf_.size();
+  buf_.resize(at + 8 * v.size());
+  std::uint8_t* out = buf_.data() + at;
+  for (double x : v) {
+    store_le64(out, std::bit_cast<std::uint64_t>(x));
+    out += 8;
+  }
 }
 
 void BinaryWriter::put_string(const std::string& s) {
@@ -48,33 +53,24 @@ void BinaryWriter::put_string(const std::string& s) {
 void BinaryReader::need(std::size_t n) const {
   // Compare against the remaining span, not pos_ + n: a length prefix near
   // SIZE_MAX would wrap pos_ + n and sail past the bound.
-  if (n > buf_.size() - pos_) {
+  if (n > size_ - pos_) {
     throw std::runtime_error("BinaryReader: truncated payload");
   }
 }
 
 std::uint64_t BinaryReader::get_u64() {
   need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(buf_[pos_ + i]) << (8 * i);
-  }
+  const std::uint64_t v = load_le64(data_ + pos_);
   pos_ += 8;
   return v;
 }
 
-double BinaryReader::get_f64() {
-  const std::uint64_t bits = get_u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
+double BinaryReader::get_f64() { return std::bit_cast<double>(get_u64()); }
 
 std::vector<std::uint8_t> BinaryReader::get_bytes() {
   const std::uint64_t n = get_u64();
   need(n);
-  std::vector<std::uint8_t> out(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  std::vector<std::uint8_t> out(data_ + pos_, data_ + pos_ + n);
   pos_ += n;
   return out;
 }
@@ -84,17 +80,18 @@ std::vector<double> BinaryReader::get_f64_vec() {
   if (n > remaining() / 8) {
     throw std::runtime_error("BinaryReader: truncated payload");
   }
-  std::vector<double> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(get_f64());
+  std::vector<double> out(n);
+  for (double& x : out) {
+    x = std::bit_cast<double>(load_le64(data_ + pos_));
+    pos_ += 8;
+  }
   return out;
 }
 
 std::string BinaryReader::get_string() {
   const std::uint64_t n = get_u64();
   need(n);
-  std::string out(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                  buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  std::string out(reinterpret_cast<const char*>(data_ + pos_), n);
   pos_ += n;
   return out;
 }
@@ -108,18 +105,48 @@ std::uint64_t fnv1a(const std::string& text) noexcept {
   return hash;
 }
 
+namespace {
+
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// kCrcTables[0] is the classic byte table; kCrcTables[k][b] advances the
+/// CRC of byte b past k further zero bytes, so eight lookups fold a whole
+/// word in at once.
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    std::uint32_t crc = b;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xedb88320u & (0u - (crc & 1u)));
+    }
+    tables[0][b] = crc;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t b = 0; b < 256; ++b) {
+      const std::uint32_t prev = tables[k - 1][b];
+      tables[k][b] = (prev >> 8) ^ tables[0][prev & 0xff];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+}  // namespace
+
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) noexcept {
-  // Nibble-wise table: 16 entries, computed once, no 1 KB static table.
-  static constexpr std::uint32_t kTable[16] = {
-      0x00000000u, 0x1db71064u, 0x3b6e20c8u, 0x26d930acu,
-      0x76dc4190u, 0x6b6b51f4u, 0x4db26158u, 0x5005713cu,
-      0xedb88320u, 0xf00f9344u, 0xd6d6a3e8u, 0xcb61b38cu,
-      0x9b64c2b0u, 0x86d3d2d4u, 0xa00ae278u, 0xbdbdf21cu};
+  const auto& t = kCrcTables;
   std::uint32_t crc = 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc ^= data[i];
-    crc = (crc >> 4) ^ kTable[crc & 0x0f];
-    crc = (crc >> 4) ^ kTable[crc & 0x0f];
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint64_t word = load_le64(data) ^ crc;
+    const auto lo = static_cast<std::uint32_t>(word);
+    const auto hi = static_cast<std::uint32_t>(word >> 32);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+          t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xff];
   }
   return crc ^ 0xffffffffu;
 }

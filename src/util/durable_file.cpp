@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "chaos/chaos.h"
+#include "util/cache.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define FTB_DURABLE_POSIX 1
@@ -18,6 +19,16 @@
 namespace ftb::util {
 
 namespace {
+
+void put_u32(std::uint8_t* out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+std::uint32_t read_u32(const std::uint8_t* p) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+  return v;
+}
 
 void set_error(std::string* error, std::string what) {
   if (error != nullptr) *error = std::move(what);
@@ -54,6 +65,53 @@ std::string parent_of(const std::string& path) {
 #endif  // FTB_DURABLE_POSIX
 
 }  // namespace
+
+void append_frame(std::vector<std::uint8_t>& out, const std::uint8_t* payload,
+                  std::size_t size) {
+  const std::size_t at = out.size();
+  out.resize(at + kFrameOverhead + size);
+  put_u32(out.data() + at, static_cast<std::uint32_t>(size));
+  put_u32(out.data() + at + 4, crc32(payload, size));
+  if (size > 0) std::memcpy(out.data() + at + kFrameOverhead, payload, size);
+}
+
+std::vector<std::uint8_t> frame_record(const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> out;
+  out.reserve(kFrameOverhead + payload.size());
+  append_frame(out, payload.data(), payload.size());
+  return out;
+}
+
+FrameScan scan_frames(std::span<const std::uint8_t> bytes, std::size_t begin,
+                      std::uint32_t max_len) {
+  FrameScan scan;
+  std::size_t pos = begin;
+  while (pos < bytes.size()) {
+    if (bytes.size() - pos < kFrameOverhead) {
+      scan.tail = FrameTail::kTornHeader;
+      break;
+    }
+    const std::uint32_t len = read_u32(bytes.data() + pos);
+    if (len > max_len) {
+      scan.tail = FrameTail::kOversized;
+      scan.tail_len = len;
+      break;
+    }
+    if (bytes.size() - pos - kFrameOverhead < len) {
+      scan.tail = FrameTail::kTornPayload;
+      break;
+    }
+    const auto payload = bytes.subspan(pos + kFrameOverhead, len);
+    if (read_u32(bytes.data() + pos + 4) != crc32(payload.data(), len)) {
+      scan.tail = FrameTail::kBadCrc;
+      break;
+    }
+    scan.frames.push_back({pos, payload});
+    pos += kFrameOverhead + len;
+  }
+  scan.end = pos;
+  return scan;
+}
 
 #if FTB_DURABLE_POSIX
 

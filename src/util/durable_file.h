@@ -13,10 +13,20 @@
 // All I/O goes through the chaos veneers (chaos/chaos.h), so fault-
 // injection tests can prove that a failed fsync surfaces as a clean error
 // with the previous file intact, instead of being silently swallowed.
+//
+// The append-only files (the job ledger, in-progress campaign journals)
+// share one record framing and one reader for it:
+//
+//   | len u32 | crc32(payload) u32 | payload (len bytes) |   (repeated)
+//
+// Each frame carries its own CRC, so a reader trusts every frame before the
+// first torn or corrupt one and drops the tail from there: the state a
+// crash between (or during) AppendLog::append calls leaves behind.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,5 +85,43 @@ class AppendLog {
   std::string path_;
   std::uint64_t size_ = 0;
 };
+
+/// Appends one frame holding `size` payload bytes to `out`.
+void append_frame(std::vector<std::uint8_t>& out, const std::uint8_t* payload,
+                  std::size_t size);
+
+/// One frame as a newly allocated buffer.
+std::vector<std::uint8_t> frame_record(const std::vector<std::uint8_t>& payload);
+
+/// Bytes of framing in front of each payload.
+inline constexpr std::size_t kFrameOverhead = 8;
+
+/// Why scan_frames stopped before the end of its input.
+enum class FrameTail : std::uint8_t {
+  kClean = 0,     ///< every byte belongs to an intact frame
+  kTornHeader,    ///< fewer than kFrameOverhead bytes left
+  kOversized,     ///< the length word exceeds the caller's bound
+  kTornPayload,   ///< the payload runs past the end of the input
+  kBadCrc,        ///< the payload does not match its CRC
+};
+
+struct ScannedFrame {
+  std::size_t offset = 0;               ///< where the frame header starts
+  std::span<const std::uint8_t> payload;
+};
+
+struct FrameScan {
+  std::vector<ScannedFrame> frames;     ///< intact frames, in file order
+  FrameTail tail = FrameTail::kClean;
+  std::size_t end = 0;                  ///< offset of the first byte dropped
+  std::uint32_t tail_len = 0;           ///< length word of a kOversized frame
+};
+
+/// Reads the frames of `bytes` from offset `begin` up to the first torn or
+/// corrupt one.  A frame declaring more than `max_len` payload bytes counts
+/// as torn: a length word that rotted must not stand for a huge record.
+/// The payload spans point into `bytes`.
+FrameScan scan_frames(std::span<const std::uint8_t> bytes, std::size_t begin,
+                      std::uint32_t max_len);
 
 }  // namespace ftb::util

@@ -10,6 +10,7 @@
 #include "campaign/sampler.h"
 #include "kernels/hazard.h"
 #include "kernels/registry.h"
+#include "telemetry/events.h"
 #include "util/rng.h"
 
 namespace ftb::campaign {
@@ -248,6 +249,57 @@ TEST(Checkpoint, ChunkSourceOrderDoesNotChangeTheJournal) {
   std::filesystem::remove(local.path);
   std::filesystem::remove(options.path);
   std::filesystem::remove(drained.path);
+}
+
+TEST(Checkpoint, FlushesAppendOnlyTheMergedChunk) {
+  // While a run is in progress each flush appends one frame of the chunk it
+  // merged, so the journal grows by O(chunk) per flush; the final flush
+  // compacts it to the bytes save() writes.  Telemetry reports both.
+  Prepared p("daxpy");
+  util::Rng rng(36);
+  const std::vector<ExperimentId> ids =
+      sample_uniform(rng, p.golden.sample_space_size(), 100);
+
+  telemetry::Telemetry telemetry;
+  telemetry.set_enabled(true);
+  CheckpointOptions options;
+  options.path = temp_journal("append_only");
+  options.flush_every = 20;
+  options.pool = &p.pool;
+  options.telemetry = &telemetry;
+  std::vector<std::uintmax_t> sizes;
+  options.on_progress = [&](const CheckpointProgress&) {
+    sizes.push_back(std::filesystem::file_size(options.path));
+  };
+  const CheckpointRunResult run =
+      run_campaign_checkpointed(*p.program, p.golden, ids, options);
+
+  ASSERT_EQ(sizes.size(), 6u);  // five chunk flushes + the compaction
+  constexpr std::uintmax_t kFrameBytes = 8 + 20 * 7 * 8;
+  for (std::size_t i = 1; i < 5; ++i) {
+    EXPECT_EQ(sizes[i] - sizes[i - 1], kFrameBytes) << "flush " << i;
+  }
+  const std::string compacted = run.log.serialize();
+  EXPECT_EQ(file_bytes(options.path), compacted);
+  EXPECT_EQ(sizes[5], compacted.size());
+
+  auto& metrics = telemetry.metrics();
+  EXPECT_EQ(metrics.counter("checkpoint.flushes").value(), 6u);
+  EXPECT_EQ(metrics.counter("checkpoint.compactions").value(), 1u);
+  EXPECT_EQ(metrics.counter("checkpoint.flush_bytes").value(),
+            sizes[4] + compacted.size());
+  std::vector<double> flush_bytes;
+  for (const telemetry::TraceEvent& event : telemetry.events()) {
+    if (event.name != "checkpoint.flush") continue;
+    for (const auto& [key, value] : event.args) {
+      if (key == "bytes") flush_bytes.push_back(value);
+    }
+  }
+  ASSERT_EQ(flush_bytes.size(), 6u);
+  EXPECT_EQ(flush_bytes[0], static_cast<double>(sizes[0]));
+  EXPECT_EQ(flush_bytes[1], static_cast<double>(kFrameBytes));
+  EXPECT_EQ(flush_bytes[5], static_cast<double>(compacted.size()));
+  std::filesystem::remove(options.path);
 }
 
 TEST(Checkpoint, ZeroSandboxTimeoutGetsFallbackDeadline) {

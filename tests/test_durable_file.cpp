@@ -173,5 +173,48 @@ TEST_F(DurableFileTest, AppendLogRollsBackTornAppends) {
   EXPECT_EQ(slurp(target), first + third);
 }
 
+TEST(Frames, ScanStopsAtTheFirstTornOrCorruptFrame) {
+  std::vector<std::uint8_t> bytes = {0xAA, 0xBB};  // a two-byte preamble
+  const std::vector<std::uint8_t> one = {1, 2, 3};
+  const std::vector<std::uint8_t> two = {4, 5, 6, 7, 8, 9, 10, 11, 12};
+  append_frame(bytes, one.data(), one.size());
+  const std::vector<std::uint8_t> framed_two = frame_record(two);
+  bytes.insert(bytes.end(), framed_two.begin(), framed_two.end());
+  const std::size_t second_at = 2 + kFrameOverhead + one.size();
+
+  const FrameScan clean = scan_frames(bytes, 2, 64);
+  EXPECT_EQ(clean.tail, FrameTail::kClean);
+  EXPECT_EQ(clean.end, bytes.size());
+  ASSERT_EQ(clean.frames.size(), 2u);
+  EXPECT_EQ(clean.frames[0].offset, 2u);
+  EXPECT_EQ(clean.frames[1].offset, second_at);
+  EXPECT_EQ(std::vector<std::uint8_t>(clean.frames[1].payload.begin(),
+                                      clean.frames[1].payload.end()),
+            two);
+
+  // Every cut inside the second frame keeps exactly the first.
+  for (std::size_t cut = second_at + 1; cut < bytes.size(); ++cut) {
+    const FrameScan torn =
+        scan_frames(std::span(bytes).first(cut), 2, 64);
+    ASSERT_EQ(torn.frames.size(), 1u) << cut;
+    EXPECT_EQ(torn.end, second_at);
+    EXPECT_EQ(torn.tail, cut < second_at + kFrameOverhead
+                             ? FrameTail::kTornHeader
+                             : FrameTail::kTornPayload);
+  }
+
+  std::vector<std::uint8_t> rotted = bytes;
+  rotted.back() ^= 0x01;
+  const FrameScan bad_crc = scan_frames(rotted, 2, 64);
+  EXPECT_EQ(bad_crc.tail, FrameTail::kBadCrc);
+  EXPECT_EQ(bad_crc.frames.size(), 1u);
+
+  const FrameScan oversized = scan_frames(bytes, 2, 8);
+  EXPECT_EQ(oversized.tail, FrameTail::kOversized);
+  EXPECT_EQ(oversized.tail_len, two.size());
+  EXPECT_EQ(oversized.frames.size(), 1u);
+  EXPECT_EQ(oversized.end, second_at);
+}
+
 }  // namespace
 }  // namespace ftb::util
